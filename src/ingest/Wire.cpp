@@ -18,20 +18,6 @@ constexpr uint64_t TagEnter = 0;
 constexpr uint64_t TagBlock = 1;
 constexpr uint64_t TagExit = 2;
 
-uint32_t le32At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-uint64_t le64At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
 } // namespace
 
 std::vector<uint8_t> ingest::encodeHelloPayload(uint32_t FunctionCount) {
@@ -178,15 +164,15 @@ bool FrameDecoder::next(WireFrame &Out) {
       Pos = Buffer.size();
       return false;
     }
-    if (le32At(Buffer, Pos) != WireMagic ||
-        le32At(Buffer, Pos + 4) != WireVersion) {
+    if (le32At(Buffer.data(), Pos) != WireMagic ||
+        le32At(Buffer.data(), Pos + 4) != WireVersion) {
       // Not a frame boundary: resynchronize byte-by-byte so one damaged
       // region cannot hide the rest of the stream.
       ++Pos;
       ++Counts.ResyncBytes;
       continue;
     }
-    uint32_t Length = le32At(Buffer, Pos + 20);
+    uint32_t Length = le32At(Buffer.data(), Pos + 20);
     if (Length > WireMaxPayload) {
       // Plausible header with an absurd length: damage. Skip the magic
       // byte and rescan rather than waiting for bytes that will never
@@ -210,14 +196,14 @@ bool FrameDecoder::next(WireFrame &Out) {
     // including the producerId/sequence fields sequencing trusts.
     uint32_t Crc = crc32Update(crc32Init(), Buffer.data() + Pos, 24);
     Crc = crc32Final(crc32Update(Crc, Payload, Length));
-    if (Crc != le32At(Buffer, Pos + 24)) {
+    if (Crc != le32At(Buffer.data(), Pos + 24)) {
       ++Counts.CorruptFrames;
       ++Pos;
       ++Counts.ResyncBytes;
       continue;
     }
-    Out.ProducerId = le32At(Buffer, Pos + 8);
-    Out.Sequence = le64At(Buffer, Pos + 12);
+    Out.ProducerId = le32At(Buffer.data(), Pos + 8);
+    Out.Sequence = le64At(Buffer.data(), Pos + 12);
     Out.Payload.assign(Payload, Payload + Length);
     Pos += WireHeaderSize + Length;
     ++Counts.Frames;

@@ -56,6 +56,23 @@ struct ByteSpan {
   }
 };
 
+/// Loads the little-endian fixed-width value at \p Data + \p Pos; the
+/// caller has checked that the bytes are there. For scanners that probe
+/// candidate record boundaries without a ByteReader cursor.
+inline uint32_t le32At(const uint8_t *Data, size_t Pos) {
+  uint32_t Value = 0;
+  for (int I = 0; I < 4; ++I)
+    Value |= static_cast<uint32_t>(Data[Pos + I]) << (8 * I);
+  return Value;
+}
+
+inline uint64_t le64At(const uint8_t *Data, size_t Pos) {
+  uint64_t Value = 0;
+  for (int I = 0; I < 8; ++I)
+    Value |= static_cast<uint64_t>(Data[Pos + I]) << (8 * I);
+  return Value;
+}
+
 /// Maps signed integers onto unsigned ones so small magnitudes stay small
 /// when varint-encoded (-1 -> 1, 1 -> 2, -2 -> 3, ...).
 inline uint64_t zigzagEncode(int64_t Value) {
@@ -190,26 +207,22 @@ public:
 
   /// Reads a fixed-width little-endian 32-bit value.
   uint32_t readFixed32() {
-    uint32_t Result = 0;
     if (Pos + 4 > Size) {
       Error = true;
       return 0;
     }
-    for (int I = 0; I < 4; ++I)
-      Result |= static_cast<uint32_t>(Data[Pos++]) << (8 * I);
-    return Result;
+    Pos += 4;
+    return le32At(Data, Pos - 4);
   }
 
   /// Reads a fixed-width little-endian 64-bit value.
   uint64_t readFixed64() {
-    uint64_t Result = 0;
     if (Pos + 8 > Size) {
       Error = true;
       return 0;
     }
-    for (int I = 0; I < 8; ++I)
-      Result |= static_cast<uint64_t>(Data[Pos++]) << (8 * I);
-    return Result;
+    Pos += 8;
+    return le64At(Data, Pos - 8);
   }
 
   /// Repositions the read cursor (used for index-directed seeks).

@@ -15,7 +15,6 @@
 #include "wpp/DynamicCallGraph.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -24,16 +23,6 @@ using namespace twpp;
 using namespace twpp::verify;
 
 namespace {
-
-// The archive layout constants, mirrored from wpp/Archive.cpp (the
-// format is pinned by docs/FORMATS.md and ArchiveCorruptionTest).
-constexpr uint32_t ArchiveMagic = 0x54575050; // "TWPP"
-constexpr uint32_t ArchiveVersion = 1;
-constexpr uint32_t ArchiveVersionThreads = 2;
-constexpr size_t PrefixSize = 12;
-constexpr size_t DcgFieldsSize = 16;
-constexpr size_t IndexRowSize = 24;
-constexpr size_t SectionHeadSize = 12; // tag (fixed32) + length (fixed64)
 
 // Cap on materializing a trace's full timestamp vector for the partition
 // check; anything larger is structurally absurd for this repo's scales
@@ -389,24 +378,6 @@ void checkChainMaximality(const TwppFunctionTable &Table,
 // DCG checks.
 //===----------------------------------------------------------------------===//
 
-/// Length of the *uncompacted* path trace behind unique trace \p T of
-/// table \p Table (what DCG anchors are ordinals into), computed from the
-/// compacted form: each block's timestamp count times its chain length.
-uint64_t expandedTraceLength(const TwppFunctionTable &Table, uint32_t T) {
-  auto [StringIdx, DictIdx] = Table.Traces[T];
-  if (StringIdx >= Table.TraceStrings.size() ||
-      DictIdx >= Table.Dictionaries.size())
-    return 0;
-  const TwppTrace &Trace = Table.TraceStrings[StringIdx];
-  const DbbDictionary &Dict = Table.Dictionaries[DictIdx];
-  uint64_t Length = 0;
-  for (const auto &[Block, Set] : Trace.Blocks) {
-    const std::vector<BlockId> *Chain = Dict.findChain(Block);
-    Length += Set.count() * (Chain ? Chain->size() : 1);
-  }
-  return Length;
-}
-
 void checkDcg(const TwppWpp &Wpp, DiagnosticEngine &Engine) {
   const DynamicCallGraph &Dcg = Wpp.Dcg;
   const size_t N = Dcg.Nodes.size();
@@ -539,91 +510,42 @@ void checkDcg(const TwppWpp &Wpp, DiagnosticEngine &Engine) {
 // Version-2 section trailer.
 //===----------------------------------------------------------------------===//
 
-/// Walks the section trailer of a version-2 archive ([DcgEnd, end of
-/// file) as tag/length/payload records), reporting twpp-archive-section
-/// errors, and decodes the three thread sections into \p Conc.
-/// \returns true when the trailer is structurally sound and every
-/// section decoded (only then are the thread/race checks meaningful).
-bool checkSectionTrailer(const std::vector<uint8_t> &Bytes, uint64_t DcgEnd,
+/// Walks the section trailer of a version-2 archive with the shared
+/// layout parser, reporting twpp-archive-section errors, and decodes the
+/// three thread sections into \p Conc. \returns true when the trailer is
+/// structurally sound and every section decoded (only then are the
+/// thread/race checks meaningful).
+bool checkSectionTrailer(ByteSpan File, uint64_t DcgEnd,
                          ConcurrencyInfo &Conc, DiagnosticEngine &Engine) {
-  const uint64_t Size = Bytes.size();
-  struct SectionRec {
-    uint32_t Tag = 0;
-    uint64_t Offset = 0;
-    uint64_t Length = 0;
-  };
-  std::vector<SectionRec> Sections;
-  auto Find = [&Sections](uint32_t Tag) -> const SectionRec * {
-    for (const SectionRec &S : Sections)
-      if (S.Tag == Tag)
-        return &S;
-    return nullptr;
-  };
-
-  uint64_t Pos = DcgEnd;
-  while (Pos < Size) {
-    if (Size - Pos < SectionHeadSize) {
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "truncated section record at offset " +
-                        std::to_string(Pos),
-                    "section directory", Pos);
-      return false;
-    }
-    ByteReader Head(
-        ByteSpan(Bytes.data() + static_cast<size_t>(Pos), SectionHeadSize));
-    SectionRec Sec;
-    Sec.Tag = Head.readFixed32();
-    Sec.Length = Head.readFixed64();
-    Sec.Offset = Pos + SectionHeadSize;
-    if (Sec.Tag != ArchiveSectionThreads && Sec.Tag != ArchiveSectionHbEdges &&
-        Sec.Tag != ArchiveSectionAccesses) {
-      char Buf[9];
-      std::snprintf(Buf, sizeof(Buf), "%08x", Sec.Tag);
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "unknown archive section tag 0x" + std::string(Buf),
-                    "section directory", Pos);
-      return false;
-    }
-    if (Sec.Length > Size - Sec.Offset) {
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "section payload runs past end of file",
-                    "section directory", Pos);
-      return false;
-    }
-    if (Find(Sec.Tag)) {
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "duplicate archive section tag", "section directory", Pos);
-      return false;
-    }
-    Sections.push_back(Sec);
-    Pos = Sec.Offset + Sec.Length;
+  std::vector<ArchiveSection> Sections;
+  if (LayoutFault Fault = parseSectionTrailer(
+          DcgEnd, File.size(),
+          [File](uint64_t Pos) {
+            return File.subspan(Pos, archive::SectionHeadSize);
+          },
+          Sections)) {
+    Engine.report(std::move(*Fault));
+    return false;
   }
 
   bool Ok = true;
   // THRD must decode before ACCS (the access decoder validates its
   // thread count against the table), so decode in fixed tag order rather
   // than file order.
-  const struct {
-    uint32_t Tag;
-    const char *Name;
-  } Expected[] = {{ArchiveSectionThreads, "THRD"},
-                  {ArchiveSectionHbEdges, "HBEG"},
-                  {ArchiveSectionAccesses, "ACCS"}};
-  for (const auto &[Tag, Name] : Expected) {
-    const SectionRec *Sec = Find(Tag);
-    if (!Sec) {
-      Engine.report(checks::ArchiveSection, Severity::Error,
-                    "version 2 archive is missing the " + std::string(Name) +
-                        " section",
-                    "section directory", DcgEnd);
+  for (uint32_t Tag : {ArchiveSectionThreads, ArchiveSectionHbEdges,
+                       ArchiveSectionAccesses}) {
+    if (LayoutFault Fault = requireArchiveSection(Sections, Tag, DcgEnd)) {
+      Engine.report(std::move(*Fault));
       Ok = false;
       continue;
     }
-    ByteSpan Payload = ByteSpan(Bytes).subspan(Sec->Offset, Sec->Length);
-    if (!decodeArchiveSection(Tag, Payload, Conc)) {
+    const ArchiveSection *Sec = findArchiveSection(Sections, Tag);
+    if (!decodeArchiveSection(Tag, File.subspan(Sec->Offset, Sec->Length),
+                              Conc)) {
+      std::string Name = archiveSectionName(Tag);
       Engine.report(checks::ArchiveSection, Severity::Error,
-                    std::string(Name) + " section does not decode",
-                    std::string(Name) + " section", Sec->Offset);
+                    Name + " section does not decode", Name + " section",
+                    Sec->Offset);
       Ok = false;
     }
   }
@@ -631,6 +553,22 @@ bool checkSectionTrailer(const std::vector<uint8_t> &Bytes, uint64_t DcgEnd,
 }
 
 } // namespace
+
+uint64_t verify::expandedTraceLength(const TwppFunctionTable &Table,
+                                     uint32_t T) {
+  auto [StringIdx, DictIdx] = Table.Traces[T];
+  if (StringIdx >= Table.TraceStrings.size() ||
+      DictIdx >= Table.Dictionaries.size())
+    return 0;
+  const TwppTrace &Trace = Table.TraceStrings[StringIdx];
+  const DbbDictionary &Dict = Table.Dictionaries[DictIdx];
+  uint64_t Length = 0;
+  for (const auto &[Block, Set] : Trace.Blocks) {
+    const std::vector<BlockId> *Chain = Dict.findChain(Block);
+    Length += Set.count() * (Chain ? Chain->size() : 1);
+  }
+  return Length;
+}
 
 void verify::runFunctionTableChecks(const TwppFunctionTable &Table,
                                     uint32_t F, DiagnosticEngine &Engine) {
@@ -654,79 +592,48 @@ void verify::runWppChecks(const TwppWpp &Wpp, DiagnosticEngine &Engine) {
 
 void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
                                    DiagnosticEngine &Engine) {
+  const ByteSpan File(Bytes);
   const uint64_t Size = Bytes.size();
-  if (Size < PrefixSize + DcgFieldsSize) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "file of " + std::to_string(Size) +
-                      " bytes is smaller than the fixed header",
-                  "header", 0);
+  // The shared layout parsers find the faults; the verifier's policy is
+  // to report every one it can reach and to stop only where nothing past
+  // the fault is readable.
+  ArchiveHeader Header;
+  if (LayoutFault Fault = parseArchiveHeader(File, Size, Header)) {
+    Engine.report(std::move(*Fault));
     return;
   }
-  ByteReader Reader(Bytes);
-  uint32_t Magic = Reader.readFixed32();
-  uint32_t Version = Reader.readFixed32();
-  uint32_t FunctionCount = Reader.readFixed32();
-  uint64_t DcgOffset = Reader.readFixed64();
-  uint64_t DcgLength = Reader.readFixed64();
-  if (Magic != ArchiveMagic) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "bad magic (not a TWPP archive)", "header", 0);
+  // Both extent faults are reported, in the order ArchiveReader::open
+  // meets them; an index that does not fit stops the walk.
+  const bool DcgExtentOk = !Header.DcgFault;
+  if (Header.DcgFault)
+    Engine.report(std::move(*Header.DcgFault));
+  if (Header.CountFault) {
+    Engine.report(std::move(*Header.CountFault));
     return;
   }
-  if (Version != ArchiveVersion && Version != ArchiveVersionThreads) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "unsupported version " + std::to_string(Version), "header",
-                  4);
-    return;
-  }
+  const uint32_t FunctionCount = Header.FunctionCount;
   const uint64_t IndexEnd =
-      PrefixSize + DcgFieldsSize +
-      static_cast<uint64_t>(FunctionCount) * IndexRowSize;
-  if (static_cast<uint64_t>(FunctionCount) * IndexRowSize >
-      Size - PrefixSize - DcgFieldsSize) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "function count " + std::to_string(FunctionCount) +
-                      " implies an index larger than the file",
-                  "header", 8);
-    return;
-  }
-  bool DcgExtentOk = true;
-  if (DcgOffset > Size || DcgLength > Size - DcgOffset) {
-    Engine.report(checks::ArchiveHeader, Severity::Error,
-                  "DCG extent (offset " + std::to_string(DcgOffset) +
-                      ", length " + std::to_string(DcgLength) +
-                      ") runs past end of file",
-                  "dcg extent", PrefixSize);
-    DcgExtentOk = false;
-  }
+      archive::HeaderSize +
+      static_cast<uint64_t>(FunctionCount) * archive::IndexRowSize;
+  const ByteSpan Index =
+      File.subspan(archive::HeaderSize, IndexEnd - archive::HeaderSize);
 
-  struct Row {
-    uint64_t Offset = 0, Length = 0, CallCount = 0;
-    bool InBounds = false;
-  };
-  std::vector<Row> Rows(FunctionCount);
+  std::vector<ArchiveIndexRow> Rows(FunctionCount);
+  std::vector<bool> InBounds(FunctionCount, false);
   for (uint32_t F = 0; F < FunctionCount; ++F) {
-    const uint64_t RowAt =
-        PrefixSize + DcgFieldsSize + static_cast<uint64_t>(F) * IndexRowSize;
-    Row &R = Rows[F];
-    R.Offset = Reader.readFixed64();
-    R.Length = Reader.readFixed64();
-    R.CallCount = Reader.readFixed64();
-    std::string Loc = "index row " + std::to_string(F);
-    if (R.Offset > Size || R.Length > Size - R.Offset) {
-      Engine.report(checks::ArchiveIndexBounds, Severity::Error,
-                    "block extent (offset " + std::to_string(R.Offset) +
-                        ", length " + std::to_string(R.Length) +
-                        ") runs past end of file",
-                    Loc, RowAt);
+    if (LayoutFault Fault = parseIndexRow(Index, F, Size, Rows[F])) {
+      Engine.report(std::move(*Fault));
       continue;
     }
-    if (R.Length > 0 && R.Offset < IndexEnd) {
+    if (Rows[F].Length > 0 && Rows[F].Offset < IndexEnd) {
       Engine.report(checks::ArchiveIndexBounds, Severity::Error,
-                    "block overlaps the header/index region", Loc, RowAt);
+                    "block overlaps the header/index region",
+                    "index row " + std::to_string(F),
+                    archive::HeaderSize +
+                        static_cast<uint64_t>(F) * archive::IndexRowSize);
       continue;
     }
-    R.InBounds = true;
+    InBounds[F] = true;
   }
 
   // Non-overlap over every in-bounds extent (function blocks + DCG).
@@ -736,11 +643,11 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
   };
   std::vector<Extent> Extents;
   for (uint32_t F = 0; F < FunctionCount; ++F)
-    if (Rows[F].InBounds && Rows[F].Length > 0)
+    if (InBounds[F] && Rows[F].Length > 0)
       Extents.push_back({Rows[F].Offset, Rows[F].Length,
                          "function " + std::to_string(F) + " block"});
-  if (DcgExtentOk && DcgLength > 0)
-    Extents.push_back({DcgOffset, DcgLength, "dcg"});
+  if (DcgExtentOk && Header.DcgLength > 0)
+    Extents.push_back({Header.DcgOffset, Header.DcgLength, "dcg"});
   std::sort(Extents.begin(), Extents.end(),
             [](const Extent &A, const Extent &B) {
               return A.Offset < B.Offset;
@@ -756,7 +663,7 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
   if (Engine.checkEnabled(checks::ArchiveIndexOrder)) {
     std::vector<uint32_t> ByOffset;
     for (uint32_t F = 0; F < FunctionCount; ++F)
-      if (Rows[F].InBounds)
+      if (InBounds[F])
         ByOffset.push_back(F);
     std::stable_sort(ByOffset.begin(), ByOffset.end(),
                      [&Rows](uint32_t A, uint32_t B) {
@@ -783,16 +690,14 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
   TwppWpp Wpp;
   Wpp.Functions.resize(FunctionCount);
   for (uint32_t F = 0; F < FunctionCount; ++F) {
-    const Row &R = Rows[F];
-    if (!R.InBounds) {
+    const ArchiveIndexRow &R = Rows[F];
+    if (!InBounds[F]) {
       AllDecoded = false;
       continue;
     }
-    std::vector<uint8_t> Block(Bytes.begin() + static_cast<size_t>(R.Offset),
-                               Bytes.begin() +
-                                   static_cast<size_t>(R.Offset + R.Length));
     std::string Loc = "function " + std::to_string(F) + " block";
-    if (!decodeTwppFunctionTable(Block, Wpp.Functions[F])) {
+    if (!decodeTwppFunctionTable(File.subspan(R.Offset, R.Length),
+                                 Wpp.Functions[F])) {
       Engine.report(checks::ArchiveBlockDecode, Severity::Error,
                     "function block does not decode", Loc, R.Offset);
       AllDecoded = false;
@@ -806,18 +711,16 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
                     Loc, R.Offset);
   }
   if (DcgExtentOk) {
-    std::vector<uint8_t> Compressed(
-        Bytes.begin() + static_cast<size_t>(DcgOffset),
-        Bytes.begin() + static_cast<size_t>(DcgOffset + DcgLength));
     std::vector<uint8_t> Raw;
-    if (!lzwDecompress(Compressed, Raw)) {
+    if (!lzwDecompress(File.subspan(Header.DcgOffset, Header.DcgLength),
+                       Raw)) {
       Engine.report(checks::ArchiveDcgDecode, Severity::Error,
-                    "DCG does not LZW-decompress", "dcg", DcgOffset);
+                    "DCG does not LZW-decompress", "dcg", Header.DcgOffset);
       AllDecoded = false;
     } else if (!decodeDcg(Raw, Wpp.Dcg)) {
       Engine.report(checks::ArchiveDcgDecode, Severity::Error,
                     "decompressed DCG does not decode as a call graph",
-                    "dcg", DcgOffset);
+                    "dcg", Header.DcgOffset);
       AllDecoded = false;
     }
   }
@@ -825,9 +728,9 @@ void verify::runArchiveBytesChecks(const std::vector<uint8_t> &Bytes,
     runWppChecks(Wpp, Engine);
 
   // Version 2: the thread trailer, then the thread/race families over it.
-  if (Version == ArchiveVersionThreads && DcgExtentOk) {
+  if (Header.Version == archive::VersionThreads && DcgExtentOk) {
     ConcurrencyInfo Conc;
-    if (checkSectionTrailer(Bytes, DcgOffset + DcgLength, Conc, Engine))
+    if (checkSectionTrailer(File, Header.dcgEnd(), Conc, Engine))
       runConcurrencyChecks(Conc, AllDecoded ? &Wpp : nullptr, Engine);
   }
 }

@@ -23,47 +23,6 @@ using namespace twpp::verify;
 
 namespace {
 
-// The fixed layout (wpp/Archive.h). Salvage parses the header by hand
-// because ArchiveReader rejects at the first inconsistency, while salvage
-// must keep going past one.
-constexpr uint32_t ArchiveMagic = 0x54575050;
-constexpr uint32_t ArchiveVersion = 1;
-constexpr size_t PrefixSize = 12;
-constexpr size_t DcgFieldsSize = 16;
-constexpr size_t IndexRowSize = 24;
-constexpr size_t HeaderSize = PrefixSize + DcgFieldsSize;
-
-uint32_t le32At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-uint64_t le64At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-/// Mirror of the verifier's anchor bound (verify/ArchiveChecks.cpp
-/// checkDcg): the uncompacted length behind unique trace \p T.
-uint64_t expandedTraceLength(const TwppFunctionTable &Table, uint32_t T) {
-  auto [StringIdx, DictIdx] = Table.Traces[T];
-  if (StringIdx >= Table.TraceStrings.size() ||
-      DictIdx >= Table.Dictionaries.size())
-    return 0;
-  const TwppTrace &Trace = Table.TraceStrings[StringIdx];
-  const DbbDictionary &Dict = Table.Dictionaries[DictIdx];
-  uint64_t Length = 0;
-  for (const auto &[Block, Set] : Trace.Blocks) {
-    const std::vector<BlockId> *Chain = Dict.findChain(Block);
-    Length += Set.count() * (Chain ? Chain->size() : 1);
-  }
-  return Length;
-}
-
 /// Removes every node whose function is dropped (or out of range),
 /// hoisting each removed node's surviving descendants onto its nearest
 /// kept ancestor at the anchor where the removed call sat. Subtrees are
@@ -167,62 +126,57 @@ void dropFunction(SalvageReport &Report, std::vector<bool> &DropFn,
 bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
                  SalvageReport &Report) {
   Report.InputBytes = Bytes.size();
-  if (Bytes.size() < HeaderSize) {
-    note(Report, checks::RecoverInput, Severity::Error,
-         "file holds " + std::to_string(Bytes.size()) +
-             " bytes, smaller than the fixed header (" +
-             std::to_string(HeaderSize) + ")",
-         "header", 0);
+  const ByteSpan File(Bytes);
+  // The shared layout parsers find the faults; salvage's policy is to
+  // give up only when the file is not recognizably an archive, clamp a
+  // function count the file cannot hold, and drop a function whose index
+  // row is bad.
+  ArchiveHeader Header;
+  if (LayoutFault Fault = parseArchiveHeader(File, Bytes.size(), Header)) {
+    note(Report, checks::RecoverInput, Severity::Error, Fault->Message,
+         Fault->Location, Fault->ByteOffset);
     return false;
   }
-  if (le32At(Bytes, 0) != ArchiveMagic) {
+  if (Header.Version != archive::VersionSingle) {
     note(Report, checks::RecoverInput, Severity::Error,
-         "bad magic (not a TWPP archive)", "header", 0);
-    return false;
-  }
-  if (le32At(Bytes, 4) != ArchiveVersion) {
-    note(Report, checks::RecoverInput, Severity::Error,
-         "unsupported archive version", "header", 4);
+         "version " + std::to_string(Header.Version) +
+             " (thread-aware) archives are not salvageable; twpp_recover "
+             "rebuilds version 1 archives only",
+         "header", 4);
     return false;
   }
 
-  uint32_t ClaimedCount = le32At(Bytes, 8);
-  uint64_t MaxRows = (Bytes.size() - HeaderSize) / IndexRowSize;
-  uint32_t Count = ClaimedCount;
-  if (ClaimedCount > MaxRows) {
+  uint32_t Count = Header.FunctionCount;
+  if (Header.CountFault) {
     // A corrupt count must not drive the allocation below; rows beyond
     // what the file physically holds are unreadable anyway.
-    Count = static_cast<uint32_t>(MaxRows);
+    Count = static_cast<uint32_t>((Bytes.size() - archive::HeaderSize) /
+                                  archive::IndexRowSize);
     note(Report, checks::RecoverIndexRow, Severity::Warning,
-         "header claims " + std::to_string(ClaimedCount) +
+         "header claims " + std::to_string(Header.FunctionCount) +
              " functions but the file can hold at most " +
-             std::to_string(MaxRows) + " index rows; functions " +
-             std::to_string(Count) + ".." + std::to_string(ClaimedCount - 1) +
-             " are lost",
+             std::to_string(Count) + " index rows; functions " +
+             std::to_string(Count) + ".." +
+             std::to_string(Header.FunctionCount - 1) + " are lost",
          "header", 8);
   }
   Report.FunctionsTotal = Count;
 
   // The DCG: recover it if its extent is intact and decodes.
-  uint64_t DcgOffset = le64At(Bytes, PrefixSize);
-  uint64_t DcgLength = le64At(Bytes, PrefixSize + 8);
   DynamicCallGraph Dcg;
-  if (DcgOffset > Bytes.size() || DcgLength > Bytes.size() - DcgOffset) {
+  if (Header.DcgFault) {
     note(Report, checks::RecoverDcg, Severity::Warning,
-         "DCG extent (offset " + std::to_string(DcgOffset) + ", length " +
-             std::to_string(DcgLength) + ") runs past end of file",
-         "dcg", PrefixSize);
+         Header.DcgFault->Message, "dcg", Header.DcgFault->ByteOffset);
   } else {
-    std::vector<uint8_t> Compressed(Bytes.begin() + DcgOffset,
-                                    Bytes.begin() + DcgOffset + DcgLength);
     std::vector<uint8_t> Serialized;
-    if (!lzwDecompress(Compressed, Serialized))
+    if (!lzwDecompress(File.subspan(Header.DcgOffset, Header.DcgLength),
+                       Serialized))
       note(Report, checks::RecoverDcg, Severity::Warning,
-           "DCG bytes do not LZW-decompress", "dcg", DcgOffset);
+           "DCG bytes do not LZW-decompress", "dcg", Header.DcgOffset);
     else if (!decodeDcg(Serialized, Dcg))
       note(Report, checks::RecoverDcg, Severity::Warning,
            "decompressed DCG does not decode as a call graph", "dcg",
-           DcgOffset);
+           Header.DcgOffset);
     else
       Report.DcgRecovered = true;
   }
@@ -230,28 +184,26 @@ bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
   // Walk the index; keep every block that decodes and verifies on its
   // own. Each block is an independent extent, so one torn block costs
   // exactly one function.
+  const ByteSpan Index =
+      File.subspan(archive::HeaderSize,
+                   static_cast<uint64_t>(Count) * archive::IndexRowSize);
   std::vector<TwppFunctionTable> Tables(Count);
   std::vector<bool> DropFn(Count, false);
   std::vector<uint64_t> IndexCalls(Count, 0);
   for (uint32_t F = 0; F < Count; ++F) {
     fault::maybeFailAlloc();
-    size_t Row = HeaderSize + static_cast<size_t>(F) * IndexRowSize;
-    uint64_t Offset = le64At(Bytes, Row);
-    uint64_t Length = le64At(Bytes, Row + 8);
-    IndexCalls[F] = le64At(Bytes, Row + 16);
-    if (Offset > Bytes.size() || Length > Bytes.size() - Offset) {
-      dropFunction(Report, DropFn, F, checks::RecoverIndexRow,
-                   "block extent (offset " + std::to_string(Offset) +
-                       ", length " + std::to_string(Length) +
-                       ") runs past end of file",
-                   Row);
+    ArchiveIndexRow Row;
+    LayoutFault Fault = parseIndexRow(Index, F, Bytes.size(), Row);
+    IndexCalls[F] = Row.CallCount;
+    if (Fault) {
+      dropFunction(Report, DropFn, F, checks::RecoverIndexRow, Fault->Message,
+                   Fault->ByteOffset);
       continue;
     }
-    std::vector<uint8_t> Block(Bytes.begin() + Offset,
-                               Bytes.begin() + Offset + Length);
-    if (!decodeTwppFunctionTable(Block, Tables[F])) {
+    if (!decodeTwppFunctionTable(File.subspan(Row.Offset, Row.Length),
+                                 Tables[F])) {
       dropFunction(Report, DropFn, F, checks::RecoverBlock,
-                   "function block does not decode", Offset);
+                   "function block does not decode", Row.Offset);
       Tables[F] = TwppFunctionTable();
       continue;
     }
@@ -261,7 +213,7 @@ bool salvageImpl(const std::vector<uint8_t> &Bytes, std::vector<uint8_t> &Out,
       dropFunction(Report, DropFn, F, checks::RecoverBlock,
                    "function block decodes but fails verification (" +
                        TableEngine.diagnostics().front().Message + ")",
-                   Offset);
+                   Row.Offset);
       Tables[F] = TwppFunctionTable();
     }
   }

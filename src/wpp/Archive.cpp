@@ -23,16 +23,9 @@
 #include <numeric>
 
 using namespace twpp;
+using namespace twpp::archive;
 
 namespace {
-
-constexpr uint32_t ArchiveMagic = 0x54575050; // "TWPP"
-constexpr uint32_t ArchiveVersion = 1;        // single-threaded layout
-constexpr uint32_t ArchiveVersionThreads = 2; // + section trailer
-constexpr size_t PrefixSize = 12;       // magic + version + functionCount
-constexpr size_t DcgFieldsSize = 16;    // dcgOffset + dcgLength
-constexpr size_t IndexRowSize = 24;     // offset + length + callCount
-constexpr size_t SectionHeadSize = 12;  // tag (fixed32) + length (fixed64)
 
 void encodeSeries(ByteWriter &Writer, const TimestampSet &Set) {
   std::vector<int64_t> Values = Set.encodeSigned();
@@ -366,8 +359,8 @@ std::vector<uint8_t> encodeArchiveImpl(const TwppWpp &Wpp,
   });
 
   ByteWriter Writer;
-  Writer.writeFixed32(ArchiveMagic);
-  Writer.writeFixed32(Conc ? ArchiveVersionThreads : ArchiveVersion);
+  Writer.writeFixed32(Magic);
+  Writer.writeFixed32(Conc ? VersionThreads : VersionSingle);
   Writer.writeFixed32(FunctionCount);
   size_t DcgFieldsAt = Writer.size();
   Writer.writeFixed64(0); // dcgOffset, patched below
@@ -464,14 +457,160 @@ bool twpp::writeConcurrentArchiveFile(const std::string &Path,
   return Result.ok();
 }
 
+namespace {
+
+verify::Diagnostic layoutFault(std::string CheckId, std::string Message,
+                               std::string Location, uint64_t ByteOffset) {
+  return verify::Diagnostic{std::move(CheckId), verify::Severity::Error,
+                            std::move(Message), std::move(Location),
+                            ByteOffset};
+}
+
+} // namespace
+
+std::string twpp::archiveSectionName(uint32_t Tag) {
+  return {static_cast<char>(Tag >> 24), static_cast<char>(Tag >> 16),
+          static_cast<char>(Tag >> 8), static_cast<char>(Tag)};
+}
+
+LayoutFault twpp::parseArchiveHeader(ByteSpan Prefix, uint64_t FileSize,
+                                     ArchiveHeader &Out) {
+  Out = ArchiveHeader();
+  if (Prefix.size() < HeaderSize || FileSize < HeaderSize)
+    return layoutFault("twpp-archive-header",
+                       "file of " + std::to_string(FileSize) +
+                           " bytes is smaller than the fixed header (" +
+                           std::to_string(HeaderSize) + " bytes)",
+                       "header", 0);
+  if (le32At(Prefix.begin(), 0) != Magic)
+    return layoutFault("twpp-archive-header",
+                       "bad magic (not a TWPP archive)", "header", 0);
+  Out.Version = le32At(Prefix.begin(), 4);
+  if (Out.Version != VersionSingle && Out.Version != VersionThreads)
+    return layoutFault("twpp-archive-header",
+                       "unsupported archive version " +
+                           std::to_string(Out.Version),
+                       "header", 4);
+  Out.FunctionCount = le32At(Prefix.begin(), 8);
+  Out.DcgOffset = le64At(Prefix.begin(), PrefixSize);
+  Out.DcgLength = le64At(Prefix.begin(), PrefixSize + 8);
+  // Every extent is checked against the file size so a corrupt header
+  // cannot drive an absurd allocation later.
+  if (static_cast<uint64_t>(Out.FunctionCount) * IndexRowSize >
+      FileSize - HeaderSize)
+    Out.CountFault = layoutFault(
+        "twpp-archive-header",
+        "function count " + std::to_string(Out.FunctionCount) +
+            " implies an index larger than the file",
+        "header", 8);
+  if (Out.DcgOffset > FileSize || Out.DcgLength > FileSize - Out.DcgOffset)
+    Out.DcgFault = layoutFault(
+        "twpp-archive-header",
+        "DCG extent (offset " + std::to_string(Out.DcgOffset) + ", length " +
+            std::to_string(Out.DcgLength) + ") runs past end of file (" +
+            std::to_string(FileSize) + " bytes)",
+        "dcg extent", PrefixSize);
+  return std::nullopt;
+}
+
+LayoutFault twpp::parseIndexRow(ByteSpan Index, uint32_t F,
+                                uint64_t FileSize, ArchiveIndexRow &Out) {
+  const uint64_t RowAt = static_cast<uint64_t>(F) * IndexRowSize;
+  if (!Index.covers(RowAt, IndexRowSize))
+    return layoutFault("twpp-archive-header", "truncated function index",
+                       "index", HeaderSize);
+  const uint8_t *Row = Index.begin() + RowAt;
+  Out.Offset = le64At(Row, 0);
+  Out.Length = le64At(Row, 8);
+  Out.CallCount = le64At(Row, 16);
+  if (Out.Offset > FileSize || Out.Length > FileSize - Out.Offset)
+    return layoutFault("twpp-archive-index-bounds",
+                       "block extent (offset " + std::to_string(Out.Offset) +
+                           ", length " + std::to_string(Out.Length) +
+                           ") runs past end of file",
+                       "index row " + std::to_string(F), HeaderSize + RowAt);
+  return std::nullopt;
+}
+
+const ArchiveSection *
+twpp::findArchiveSection(const std::vector<ArchiveSection> &Sections,
+                         uint32_t Tag) {
+  for (const ArchiveSection &Sec : Sections)
+    if (Sec.Tag == Tag)
+      return &Sec;
+  return nullptr;
+}
+
+LayoutFault twpp::parseSectionRecord(ByteSpan Head, uint64_t Pos,
+                                     uint64_t FileSize,
+                                     const std::vector<ArchiveSection> &Seen,
+                                     ArchiveSection &Out) {
+  if (Head.size() < SectionHeadSize || Pos > FileSize ||
+      FileSize - Pos < SectionHeadSize)
+    return layoutFault("twpp-archive-section",
+                       "truncated section record at offset " +
+                           std::to_string(Pos),
+                       "section directory", Pos);
+  Out.Tag = le32At(Head.begin(), 0);
+  Out.Length = le64At(Head.begin(), 4);
+  Out.Offset = Pos + SectionHeadSize;
+  if (Out.Tag != ArchiveSectionThreads && Out.Tag != ArchiveSectionHbEdges &&
+      Out.Tag != ArchiveSectionAccesses) {
+    char Hex[9];
+    std::snprintf(Hex, sizeof(Hex), "%08x", Out.Tag);
+    return layoutFault("twpp-archive-section",
+                       "unknown archive section tag 0x" + std::string(Hex),
+                       "section directory", Pos);
+  }
+  if (Out.Length > FileSize - Out.Offset)
+    return layoutFault("twpp-archive-section",
+                       "section payload runs past end of file",
+                       "section directory", Pos);
+  if (findArchiveSection(Seen, Out.Tag))
+    return layoutFault("twpp-archive-section",
+                       "duplicate archive section tag", "section directory",
+                       Pos);
+  return std::nullopt;
+}
+
+LayoutFault
+twpp::parseSectionTrailer(uint64_t TrailerStart, uint64_t FileSize,
+                          const std::function<ByteSpan(uint64_t)> &ReadHead,
+                          std::vector<ArchiveSection> &Out) {
+  Out.clear();
+  for (uint64_t Pos = TrailerStart; Pos < FileSize;) {
+    ArchiveSection Sec;
+    if (LayoutFault Fault =
+            parseSectionRecord(ReadHead(Pos), Pos, FileSize, Out, Sec)) {
+      Out.clear();
+      return Fault;
+    }
+    Out.push_back(Sec);
+    Pos = Sec.Offset + Sec.Length;
+  }
+  return std::nullopt;
+}
+
+LayoutFault
+twpp::requireArchiveSection(const std::vector<ArchiveSection> &Sections,
+                            uint32_t Tag, uint64_t TrailerStart) {
+  if (findArchiveSection(Sections, Tag))
+    return std::nullopt;
+  return layoutFault("twpp-archive-section",
+                     "version 2 archive is missing the " +
+                         archiveSectionName(Tag) + " section",
+                     "section directory", TrailerStart);
+}
+
+bool ArchiveReader::fail(verify::Diagnostic Fault) const {
+  LastError = std::move(Fault);
+  return false;
+}
+
 bool ArchiveReader::fail(std::string CheckId, std::string Message,
                          std::string Section, uint64_t ByteOffset) const {
-  LastError.CheckId = std::move(CheckId);
-  LastError.Sev = verify::Severity::Error;
-  LastError.Message = std::move(Message);
-  LastError.Location = std::move(Section);
-  LastError.ByteOffset = ByteOffset;
-  return false;
+  return fail(layoutFault(std::move(CheckId), std::move(Message),
+                          std::move(Section), ByteOffset));
 }
 
 bool ArchiveReader::open(const std::string &ArchivePath) {
@@ -514,182 +653,100 @@ bool ArchiveReader::open(const std::string &ArchivePath, IoMode WantMode) {
       obs::metrics().counter(obs::names::ArchiveMmapFallbacks).add();
   }
 
-  std::vector<uint8_t> Prefix;
-  ByteSpan PrefixSpan;
-  if (!readSlice(0, PrefixSize + DcgFieldsSize, Prefix, PrefixSpan))
+  std::vector<uint8_t> PrefixBytes;
+  ByteSpan Prefix;
+  if (!readSlice(0, HeaderSize, PrefixBytes, Prefix))
     return fail("twpp-archive-header",
                 "cannot read the fixed header (file missing or smaller "
                 "than " +
-                    std::to_string(PrefixSize + DcgFieldsSize) + " bytes)",
+                    std::to_string(HeaderSize) + " bytes)",
                 "header", 0);
-  ByteReader Reader(PrefixSpan);
-  if (Reader.readFixed32() != ArchiveMagic)
-    return fail("twpp-archive-header", "bad magic (not a TWPP archive)",
-                "header", 0);
-  Version = Reader.readFixed32();
-  if (Version != ArchiveVersion && Version != ArchiveVersionThreads)
-    return fail("twpp-archive-header", "unsupported archive version",
-                "header", 4);
-  uint32_t FunctionCount = Reader.readFixed32();
-  DcgOffset = Reader.readFixed64();
-  DcgLength = Reader.readFixed64();
-  if (Reader.hasError())
-    return fail("twpp-archive-header", "truncated fixed header", "header",
-                0);
-  // Validate every extent against the actual file size so corrupt
-  // headers cannot trigger absurd allocations later. A stat failure is
-  // its own error, not an empty file: the extent checks below would
-  // otherwise reject every archive with a misleading message. In mmap
-  // mode the mapping's length IS the file size.
+  // A stat failure is its own error, not an empty file: the extent
+  // checks would otherwise reject every archive with a misleading
+  // message. In mmap mode the mapping's length IS the file size.
   std::optional<uint64_t> MaybeSize = Mode == IoMode::Mmap
                                           ? std::optional<uint64_t>(Map.size())
                                           : fileSize(Path);
   if (!MaybeSize)
     return fail("twpp-archive-header",
                 "cannot determine the archive file size", "header", 0);
-  uint64_t Size = *MaybeSize;
-  if (DcgOffset > Size || DcgLength > Size - DcgOffset)
-    return fail("twpp-archive-header",
-                "DCG extent (offset " + std::to_string(DcgOffset) +
-                    ", length " + std::to_string(DcgLength) +
-                    ") runs past end of file (" + std::to_string(Size) +
-                    " bytes)",
-                "dcg extent", PrefixSize);
-  if (static_cast<uint64_t>(FunctionCount) * IndexRowSize >
-      Size - PrefixSize - DcgFieldsSize)
-    return fail("twpp-archive-header",
-                "function count " + std::to_string(FunctionCount) +
-                    " implies an index larger than the file",
-                "header", 8);
+  const uint64_t Size = *MaybeSize;
+  ArchiveHeader Header;
+  if (LayoutFault Fault = parseArchiveHeader(Prefix, Size, Header))
+    return fail(std::move(*Fault));
+  if (Header.DcgFault)
+    return fail(std::move(*Header.DcgFault));
+  if (Header.CountFault)
+    return fail(std::move(*Header.CountFault));
+  DcgOffset = Header.DcgOffset;
+  DcgLength = Header.DcgLength;
 
   std::vector<uint8_t> IndexBytes;
   ByteSpan IndexSpan;
-  if (!readSlice(PrefixSize + DcgFieldsSize,
-                 static_cast<uint64_t>(FunctionCount) * IndexRowSize,
+  if (!readSlice(HeaderSize,
+                 static_cast<uint64_t>(Header.FunctionCount) * IndexRowSize,
                  IndexBytes, IndexSpan))
     return fail("twpp-archive-header", "cannot read the function index",
-                "index", PrefixSize + DcgFieldsSize);
-  ByteReader IndexReader(IndexSpan);
-  Index.resize(FunctionCount);
-  for (size_t F = 0; F != Index.size(); ++F) {
-    IndexEntry &Entry = Index[F];
-    Entry.Offset = IndexReader.readFixed64();
-    Entry.Length = IndexReader.readFixed64();
-    Entry.CallCount = IndexReader.readFixed64();
-    if (Entry.Offset > Size || Entry.Length > Size - Entry.Offset) {
+                "index", HeaderSize);
+  Index.resize(Header.FunctionCount);
+  for (uint32_t F = 0; F != Header.FunctionCount; ++F)
+    if (LayoutFault Fault = parseIndexRow(IndexSpan, F, Size, Index[F])) {
       Index.clear();
-      return fail("twpp-archive-index-bounds",
-                  "block extent (offset " + std::to_string(Entry.Offset) +
-                      ", length " + std::to_string(Entry.Length) +
-                      ") runs past end of file",
-                  "index row " + std::to_string(F),
-                  PrefixSize + DcgFieldsSize + F * IndexRowSize);
+      return fail(std::move(*Fault));
     }
-  }
-  if (!IndexReader.valid()) {
-    Index.clear();
-    return fail("twpp-archive-header", "truncated function index", "index",
-                PrefixSize + DcgFieldsSize);
-  }
 
-  // Version 2: walk the section trailer between the DCG and end of file.
-  // Unknown tags are a hard error — a reader that does not understand a
-  // section cannot claim to have read the archive (this is how the
-  // thread trailer degrades loudly instead of being silently dropped).
-  if (Version == ArchiveVersionThreads) {
-    uint64_t Pos = DcgOffset + DcgLength;
-    while (Pos < Size) {
-      std::vector<uint8_t> HeadBytes;
+  // Version 2: walk the section trailer between the DCG and end of file,
+  // reading only the record heads. Unknown tags are a hard error — a
+  // reader that does not understand a section cannot claim to have read
+  // the archive (this is how the thread trailer degrades loudly instead
+  // of being silently dropped).
+  if (Header.Version == VersionThreads) {
+    std::vector<uint8_t> HeadBytes;
+    auto ReadHead = [this, &HeadBytes](uint64_t Pos) {
       ByteSpan Head;
-      if (Size - Pos < SectionHeadSize ||
-          !readSlice(Pos, SectionHeadSize, HeadBytes, Head)) {
-        Sections.clear();
-        Index.clear();
-        return fail("twpp-archive-section",
-                    "truncated section record at offset " +
-                        std::to_string(Pos),
-                    "section directory", Pos);
-      }
-      ByteReader HeadReader(Head);
-      Section Sec;
-      Sec.Tag = HeadReader.readFixed32();
-      Sec.Length = HeadReader.readFixed64();
-      Sec.Offset = Pos + SectionHeadSize;
-      if (Sec.Tag != ArchiveSectionThreads &&
-          Sec.Tag != ArchiveSectionHbEdges &&
-          Sec.Tag != ArchiveSectionAccesses) {
-        Sections.clear();
-        Index.clear();
-        return fail("twpp-archive-section",
-                    "unknown archive section tag 0x" +
-                        [Tag = Sec.Tag] {
-                          char Buf[9];
-                          std::snprintf(Buf, sizeof(Buf), "%08x", Tag);
-                          return std::string(Buf);
-                        }(),
-                    "section directory", Pos);
-      }
-      if (Sec.Length > Size - Sec.Offset) {
-        Sections.clear();
-        Index.clear();
-        return fail("twpp-archive-section",
-                    "section payload runs past end of file",
-                    "section directory", Pos);
-      }
-      if (findSection(Sec.Tag)) {
-        Sections.clear();
-        Index.clear();
-        return fail("twpp-archive-section", "duplicate archive section tag",
-                    "section directory", Pos);
-      }
-      Sections.push_back(Sec);
-      Pos = Sec.Offset + Sec.Length;
-    }
-    if (!findSection(ArchiveSectionThreads)) {
+      return readSlice(Pos, SectionHeadSize, HeadBytes, Head) ? Head
+                                                              : ByteSpan();
+    };
+    LayoutFault Fault =
+        parseSectionTrailer(Header.dcgEnd(), Size, ReadHead, Sections);
+    if (!Fault)
+      Fault = requireArchiveSection(Sections, ArchiveSectionThreads,
+                                    Header.dcgEnd());
+    if (Fault) {
       Sections.clear();
       Index.clear();
-      return fail("twpp-archive-section",
-                  "version 2 archive is missing the thread table section",
-                  "section directory", DcgOffset + DcgLength);
+      return fail(std::move(*Fault));
     }
   }
+  Version = Header.Version;
   return true;
-}
-
-const ArchiveReader::Section *ArchiveReader::findSection(uint32_t Tag) const {
-  for (const Section &Sec : Sections)
-    if (Sec.Tag == Tag)
-      return &Sec;
-  return nullptr;
 }
 
 bool ArchiveReader::readConcurrency(ConcurrencyInfo &Out) const {
   Out = ConcurrencyInfo();
-  const Section *Thrd = findSection(ArchiveSectionThreads);
-  const Section *Hbeg = findSection(ArchiveSectionHbEdges);
-  const Section *Accs = findSection(ArchiveSectionAccesses);
-  if (!Thrd || !Hbeg || !Accs)
-    return fail("twpp-archive-section",
-                "archive has no thread-aware section trailer", "sections",
-                verify::NoByteOffset);
+  // THRD decodes first: the access decoder checks its thread count
+  // against the table.
+  const uint32_t Tags[] = {ArchiveSectionThreads, ArchiveSectionHbEdges,
+                           ArchiveSectionAccesses};
+  for (uint32_t Tag : Tags)
+    if (!findArchiveSection(Sections, Tag))
+      return fail("twpp-archive-section",
+                  "archive has no thread-aware section trailer", "sections",
+                  verify::NoByteOffset);
   obs::PhaseSpan Span("archive_read_concurrency");
   obs::MemScope MemSpan(obs::memtags::ArchiveDecode,
                         obs::MemScope::Nest::IfUnscoped);
   std::vector<uint8_t> Storage;
-  ByteSpan Bytes;
-  if (!readSlice(Thrd->Offset, Thrd->Length, Storage, Bytes) ||
-      !decodeThreadSection(Bytes, Out))
-    return fail("twpp-archive-section", "thread table section does not decode",
-                "THRD section", Thrd->Offset);
-  if (!readSlice(Hbeg->Offset, Hbeg->Length, Storage, Bytes) ||
-      !decodeEdgeSection(Bytes, Out))
-    return fail("twpp-archive-section",
-                "happens-before edge section does not decode", "HBEG section",
-                Hbeg->Offset);
-  if (!readSlice(Accs->Offset, Accs->Length, Storage, Bytes) ||
-      !decodeAccessSection(Bytes, Out))
-    return fail("twpp-archive-section", "access set section does not decode",
-                "ACCS section", Accs->Offset);
+  for (uint32_t Tag : Tags) {
+    const ArchiveSection &Sec = *findArchiveSection(Sections, Tag);
+    ByteSpan Bytes;
+    if (!readSlice(Sec.Offset, Sec.Length, Storage, Bytes) ||
+        !decodeArchiveSection(Tag, Bytes, Out)) {
+      std::string Name = archiveSectionName(Tag);
+      return fail("twpp-archive-section", Name + " section does not decode",
+                  Name + " section", Sec.Offset);
+    }
+  }
   return true;
 }
 

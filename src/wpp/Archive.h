@@ -28,6 +28,13 @@
 /// per-address access timestamp sets); an unknown tag is a hard open()
 /// error (twpp-archive-section), never silently skipped.
 ///
+/// The layout is parsed in exactly one place: the piecewise parsers
+/// below (parseArchiveHeader, parseIndexRow, parseSectionRecord and the
+/// parseSectionTrailer walk). ArchiveReader, the byte-level verifier and
+/// twpp_recover all call them and differ only in policy — the reader
+/// stops at the first fault, the verifier reports every fault, salvage
+/// tolerates what it can.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TWPP_WPP_ARCHIVE_H
@@ -39,16 +46,110 @@
 #include "wpp/Concurrent.h"
 #include "wpp/Twpp.h"
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace twpp {
+
+/// The on-disk layout constants (docs/FORMATS.md). Defined here once;
+/// every archive parser and the encoder use these.
+namespace archive {
+inline constexpr uint32_t Magic = 0x54575050;  // "TWPP"
+inline constexpr uint32_t VersionSingle = 1;   // single-threaded layout
+inline constexpr uint32_t VersionThreads = 2;  // + section trailer
+inline constexpr size_t PrefixSize = 12;       // magic + version + count
+inline constexpr size_t DcgFieldsSize = 16;    // dcgOffset + dcgLength
+inline constexpr size_t HeaderSize = PrefixSize + DcgFieldsSize;
+inline constexpr size_t IndexRowSize = 24;     // offset + length + calls
+inline constexpr size_t SectionHeadSize = 12;  // tag (fixed32) + length
+} // namespace archive
 
 /// Version-2 section trailer tags ("THRD", "HBEG", "ACCS" as big-endian
 /// ASCII). Stable on-disk identifiers — never renumber.
 inline constexpr uint32_t ArchiveSectionThreads = 0x54485244;
 inline constexpr uint32_t ArchiveSectionHbEdges = 0x48424547;
 inline constexpr uint32_t ArchiveSectionAccesses = 0x41434353;
+
+/// The four ASCII characters of a section tag ("THRD").
+std::string archiveSectionName(uint32_t Tag);
+
+/// What a layout parser found wrong: check id, message, location and
+/// byte offset of the first fault, or nothing when the bytes are sound.
+/// The parsers apply no policy; callers decide whether a fault stops
+/// them, is reported and skipped, or is tolerated.
+using LayoutFault = std::optional<verify::Diagnostic>;
+
+/// The fixed header's fields.
+struct ArchiveHeader {
+  uint32_t Version = 0;
+  uint32_t FunctionCount = 0;
+  uint64_t DcgOffset = 0;
+  uint64_t DcgLength = 0;
+  /// FunctionCount index rows do not fit in the file (header, offset 8).
+  LayoutFault CountFault;
+  /// The DCG extent runs past end of file (dcg extent, offset 12).
+  LayoutFault DcgFault;
+
+  uint64_t dcgEnd() const { return DcgOffset + DcgLength; }
+};
+
+/// Parses the fixed header from \p Prefix, the first bytes of a file of
+/// \p FileSize bytes (at least archive::HeaderSize of them for a sound
+/// header). \returns the fault that leaves nothing else readable: a short
+/// header, bad magic or an unsupported version. The two extent checks,
+/// which callers weigh differently, land in Out.CountFault and
+/// Out.DcgFault.
+LayoutFault parseArchiveHeader(ByteSpan Prefix, uint64_t FileSize,
+                               ArchiveHeader &Out);
+
+/// One index row: where a function's block lives and its call count.
+struct ArchiveIndexRow {
+  uint64_t Offset = 0;
+  uint64_t Length = 0;
+  uint64_t CallCount = 0;
+};
+
+/// Parses row \p F of \p Index (the index region, which starts at file
+/// offset archive::HeaderSize) and checks its block extent against
+/// \p FileSize. \p Out holds the row's fields even when its extent
+/// check fails.
+LayoutFault parseIndexRow(ByteSpan Index, uint32_t F, uint64_t FileSize,
+                          ArchiveIndexRow &Out);
+
+/// One version-2 section record; Offset is the payload's file offset.
+struct ArchiveSection {
+  uint32_t Tag = 0;
+  uint64_t Offset = 0;
+  uint64_t Length = 0;
+};
+
+/// The record for \p Tag in \p Sections, or nullptr.
+const ArchiveSection *findArchiveSection(
+    const std::vector<ArchiveSection> &Sections, uint32_t Tag);
+
+/// Parses the section record at file offset \p Pos from \p Head (the
+/// archive::SectionHeadSize bytes there; fewer means truncation). Checks
+/// that the tag is known, that the payload fits in \p FileSize and that
+/// \p Seen holds no record with the same tag.
+LayoutFault parseSectionRecord(ByteSpan Head, uint64_t Pos, uint64_t FileSize,
+                               const std::vector<ArchiveSection> &Seen,
+                               ArchiveSection &Out);
+
+/// Walks the version-2 section trailer, [TrailerStart, FileSize), into
+/// \p Out and stops at the first bad record. \p ReadHead produces the
+/// record head at a file offset (an empty span when it cannot), so a
+/// buffered reader touches only the heads, never the payloads.
+LayoutFault
+parseSectionTrailer(uint64_t TrailerStart, uint64_t FileSize,
+                    const std::function<ByteSpan(uint64_t)> &ReadHead,
+                    std::vector<ArchiveSection> &Out);
+
+/// The fault for a version-2 archive whose trailer lacks section \p Tag,
+/// or nothing when \p Sections holds it.
+LayoutFault requireArchiveSection(const std::vector<ArchiveSection> &Sections,
+                                  uint32_t Tag, uint64_t TrailerStart);
 
 /// How ArchiveReader gets bytes off disk.
 ///  - Buffered: read() each extent into an owned buffer (the historical
@@ -176,7 +277,9 @@ public:
   uint32_t version() const { return Version; }
 
   /// True when the archive carries the thread-aware section trailer.
-  bool threadAware() const { return findSection(ArchiveSectionThreads); }
+  bool threadAware() const {
+    return findArchiveSection(Sections, ArchiveSectionThreads);
+  }
 
   /// Decodes the concurrency metadata (thread table, happens-before
   /// edges, access sets) — the race detector's whole input; the
@@ -196,23 +299,11 @@ public:
   const verify::Diagnostic &lastError() const { return LastError; }
 
 private:
-  struct IndexEntry {
-    uint64_t Offset = 0;
-    uint64_t Length = 0;
-    uint64_t CallCount = 0;
-  };
-
-  struct Section {
-    uint32_t Tag = 0;
-    uint64_t Offset = 0; ///< Payload offset (past the 12-byte record head).
-    uint64_t Length = 0;
-  };
-
-  const Section *findSection(uint32_t Tag) const;
-
-  /// Records \p D as lastError() and returns false (failure shorthand).
+  /// Records the diagnostic as lastError() and returns false (failure
+  /// shorthand).
   bool fail(std::string CheckId, std::string Message, std::string Section,
             uint64_t ByteOffset) const;
+  bool fail(verify::Diagnostic Fault) const;
 
   /// Produces the bytes of [Offset, Offset+Length): a view into the
   /// mapping in mmap mode, a read into \p Storage otherwise. \returns
@@ -225,8 +316,8 @@ private:
   uint64_t DcgOffset = 0;
   uint64_t DcgLength = 0;
   uint32_t Version = 1;
-  std::vector<IndexEntry> Index;
-  std::vector<Section> Sections;
+  std::vector<ArchiveIndexRow> Index;
+  std::vector<ArchiveSection> Sections;
   MappedFile Map;
   IoMode Mode = IoMode::Buffered;
   mutable verify::Diagnostic LastError;

@@ -45,22 +45,6 @@ bool syncJournalStream(std::FILE *File) {
 #endif
 }
 
-/// Reads a little-endian fixed-width value at \p Pos (caller checks
-/// bounds).
-uint32_t le32At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-uint64_t le64At(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
 } // namespace
 
 void twpp::appendJournalRecord(std::vector<uint8_t> &Out,
@@ -80,15 +64,15 @@ JournalScan twpp::scanJournal(const std::vector<uint8_t> &Bytes) {
   size_t Pos = 0;
   size_t EndOfLastValid = 0;
   while (Pos + JournalHeaderSize <= Bytes.size()) {
-    if (le32At(Bytes, Pos) != JournalMagic ||
-        le32At(Bytes, Pos + 4) != JournalVersion) {
+    if (le32At(Bytes.data(), Pos) != JournalMagic ||
+        le32At(Bytes.data(), Pos + 4) != JournalVersion) {
       // Not a record boundary: resynchronize byte-by-byte so one damaged
       // region cannot hide every later record.
       ++Pos;
       continue;
     }
-    uint64_t Length = le64At(Bytes, Pos + 8);
-    uint32_t Crc = le32At(Bytes, Pos + 16);
+    uint64_t Length = le64At(Bytes.data(), Pos + 8);
+    uint32_t Crc = le32At(Bytes.data(), Pos + 16);
     if (Length > Bytes.size() - Pos - JournalHeaderSize) {
       // Torn tail (the common crash shape) or a corrupt length field;
       // either way the payload is not all there. Keep scanning in case a

@@ -17,6 +17,7 @@
 #include "workloads/Workload.h"
 #include "wpp/Archive.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -68,19 +69,12 @@ protected:
     Bytes = nullptr;
   }
 
-  /// Writes \p Variant to a temp file and returns its path.
-  /// Distinguishes the IoMode instances of one test, which run as
-  /// concurrent ctest processes and must not race on variant files.
-  /// The non-parameterized differential fixture overrides this —
-  /// GetParam() would abort there.
-  virtual std::string variantSuffix() {
-    return GetParam() == IoMode::Mmap ? "_mmap" : "_buffered";
-  }
-
+  /// Writes \p Variant to a temp file unique to the running test (the
+  /// IoMode instances of one test run as concurrent ctest processes) and
+  /// returns its path.
   std::string writeVariant(const std::vector<uint8_t> &Variant,
                            const std::string &Name) {
-    std::string Path =
-        ::testing::TempDir() + "/corrupt_" + Name + variantSuffix() + ".twpp";
+    std::string Path = uniqueTempPath("corrupt_" + Name + ".twpp");
     EXPECT_TRUE(writeFileBytes(Path, Variant));
     Cleanup.push_back(Path);
     return Path;
@@ -107,10 +101,7 @@ INSTANTIATE_TEST_SUITE_P(IoModes, ArchiveCorruption,
 
 /// Mode-pair differential tests (open both readers themselves, so they
 /// are not parameterized); shares the healthy archive via inheritance.
-class ArchiveCorruptionDifferential : public ArchiveCorruption {
-protected:
-  std::string variantSuffix() override { return "_diff"; }
-};
+class ArchiveCorruptionDifferential : public ArchiveCorruption {};
 
 TEST_P(ArchiveCorruption, LayoutAssumptions) {
   // Sanity-pin the layout the other tests patch against: magic "TWPP"
@@ -406,7 +397,7 @@ TEST_F(ArchiveCorruptionDifferential, TruncatedBlockDecodeAgreesAcrossModes) {
 
 TEST_P(ArchiveCorruption, MissingFileFailsOpen) {
   ArchiveReader Reader;
-  EXPECT_FALSE(Reader.open(::testing::TempDir() + "/does_not_exist.twpp", GetParam()));
+  EXPECT_FALSE(Reader.open(uniqueTempPath("does_not_exist.twpp"), GetParam()));
 }
 
 } // namespace

@@ -20,8 +20,11 @@
 #include "verify/ArchiveChecks.h"
 #include "verify/Checks.h"
 #include "verify/Recover.h"
+#include "workloads/Concurrent.h"
 #include "wpp/Archive.h"
+#include "wpp/Concurrent.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 
 #include <cstdio>
@@ -248,8 +251,8 @@ TEST_F(ArchiveRecovery, BlockFlipDropsFunctionAndReportsLoss) {
 }
 
 TEST_F(ArchiveRecovery, SalvageFileWritesVerifierCleanArchive) {
-  std::string In = ::testing::TempDir() + "/salvage_in.twpp";
-  std::string Outp = ::testing::TempDir() + "/salvage_out.twpp";
+  std::string In = uniqueTempPath("salvage_in.twpp");
+  std::string Outp = uniqueTempPath("salvage_out.twpp");
   std::vector<uint8_t> Variant = *Bytes;
   // Tear the tail into the last function block / DCG region.
   Variant.resize(Variant.size() - Variant.size() / 4);
@@ -276,13 +279,30 @@ TEST_F(ArchiveRecovery, SalvageFileWritesVerifierCleanArchive) {
 
 TEST_F(ArchiveRecovery, MissingInputFileIsReported) {
   SalvageReport Report;
-  EXPECT_FALSE(salvageArchiveFile(::testing::TempDir() +
-                                      "/no_such_archive.twpp",
-                                  ::testing::TempDir() + "/out.twpp",
-                                  Report));
+  EXPECT_FALSE(salvageArchiveFile(uniqueTempPath("no_such_archive.twpp"),
+                                  uniqueTempPath("out.twpp"), Report));
   ASSERT_FALSE(Report.Diagnostics.empty());
   EXPECT_EQ(Report.Diagnostics.front().CheckId,
             verify::checks::RecoverInput);
+}
+
+TEST_F(ArchiveRecovery, ThreadAwareArchiveIsNotSalvageable) {
+  // Salvage rebuilds version-1 archives only; a version-2 (thread-aware)
+  // archive is refused up front with a named input error, not partially
+  // rewritten without its section trailer.
+  std::vector<uint8_t> V2 = encodeConcurrentArchive(compactConcurrentWpp(
+      generateConcurrentTrace(testConcurrentProfiles()[0])));
+  std::vector<uint8_t> Out;
+  SalvageReport Report;
+  EXPECT_FALSE(salvageArchive(V2, Out, Report));
+  EXPECT_FALSE(Report.Salvaged);
+  ASSERT_FALSE(Report.Diagnostics.empty());
+  EXPECT_EQ(Report.Diagnostics.front().CheckId, verify::checks::RecoverInput);
+  EXPECT_NE(Report.Diagnostics.front().Message.find("thread-aware"),
+            std::string::npos)
+      << Report.Diagnostics.front().Message;
+  EXPECT_TRUE(Report.fatal());
+  EXPECT_TRUE(Out.empty());
 }
 
 TEST_F(ArchiveRecovery, ReportRenderersAreWellFormed) {

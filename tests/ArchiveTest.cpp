@@ -14,6 +14,7 @@
 
 #include "wpp/Archive.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
@@ -27,10 +28,6 @@
 using namespace twpp;
 
 namespace {
-
-std::string tempPath(const char *Name) {
-  return ::testing::TempDir() + "/" + Name;
-}
 
 TEST(FunctionTableCodecTest, RoundTrip) {
   RawTrace Trace = fixtures::figure1Trace();
@@ -63,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(IoModes, ArchiveModeTest,
                          });
 
 TEST_P(ArchiveModeTest, WriteOpenReadAll) {
-  std::string Path = tempPath("twpp_archive_test.twpp");
+  std::string Path = uniqueTempPath("twpp_archive_test.twpp");
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -85,7 +82,7 @@ TEST_P(ArchiveModeTest, WriteOpenReadAll) {
 }
 
 TEST_P(ArchiveModeTest, OutOfRangeFunctionIdsAreRejected) {
-  std::string Path = tempPath("twpp_archive_bounds.twpp");
+  std::string Path = uniqueTempPath("twpp_archive_bounds.twpp");
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -105,7 +102,7 @@ TEST_P(ArchiveModeTest, OutOfRangeFunctionIdsAreRejected) {
 }
 
 TEST_P(ArchiveModeTest, ExtractSingleFunction) {
-  std::string Path = tempPath("twpp_archive_extract.twpp");
+  std::string Path = uniqueTempPath("twpp_archive_extract.twpp");
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -128,7 +125,7 @@ TEST_P(ArchiveModeTest, ExtractSingleFunction) {
 }
 
 TEST_P(ArchiveModeTest, DcgRoundTripsThroughLzw) {
-  std::string Path = tempPath("twpp_archive_dcg.twpp");
+  std::string Path = uniqueTempPath("twpp_archive_dcg.twpp");
   RawTrace Trace = fixtures::randomTrace(99);
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -142,21 +139,21 @@ TEST_P(ArchiveModeTest, DcgRoundTripsThroughLzw) {
 }
 
 TEST_P(ArchiveModeTest, OpenRejectsGarbage) {
-  std::string Path = tempPath("twpp_archive_garbage.twpp");
+  std::string Path = uniqueTempPath("twpp_archive_garbage.twpp");
   ASSERT_TRUE(writeFileBytes(Path, {1, 2, 3, 4, 5, 6, 7, 8}));
   ArchiveReader Reader;
   EXPECT_FALSE(Reader.open(Path, GetParam()));
   std::remove(Path.c_str());
 
   ArchiveReader Missing;
-  EXPECT_FALSE(Missing.open(tempPath("no_such_file.twpp"), GetParam()));
+  EXPECT_FALSE(Missing.open(uniqueTempPath("no_such_file.twpp"), GetParam()));
 }
 
 TEST_P(ArchiveModeTest, OpenRejectsEmptyFile) {
   // Zero bytes maps to a valid null span (mmap(2) can't express it, the
   // wrapper special-cases it); the header check must still reject it the
   // same way in both modes.
-  std::string Path = tempPath("twpp_archive_empty.twpp");
+  std::string Path = uniqueTempPath("twpp_archive_empty.twpp");
   ASSERT_TRUE(writeFileBytes(Path, {}));
   ArchiveReader Reader;
   EXPECT_FALSE(Reader.open(Path, GetParam()));
@@ -165,7 +162,7 @@ TEST_P(ArchiveModeTest, OpenRejectsEmptyFile) {
 }
 
 TEST(ArchiveMmapFallback, InjectedMmapFaultFallsBackToBuffered) {
-  std::string Path = tempPath("twpp_archive_fallback.twpp");
+  std::string Path = uniqueTempPath("twpp_archive_fallback.twpp");
   RawTrace Trace = fixtures::figure1Trace();
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -207,8 +204,8 @@ TwppWpp decodeBothModes(const std::string &Path) {
 class ArchiveRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ArchiveRoundTrip, RandomTraces) {
-  std::string Path = tempPath(
-      ("twpp_archive_rt_" + std::to_string(GetParam()) + ".twpp").c_str());
+  std::string Path = uniqueTempPath("twpp_archive_rt_" +
+                                    std::to_string(GetParam()) + ".twpp");
   RawTrace Trace = fixtures::randomTrace(GetParam(), 8, 5000);
   TwppWpp Compacted = compactWpp(Trace);
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
@@ -230,7 +227,7 @@ TEST_P(PaperProfileDifferential, BufferedAndMmapDecodeIdentically) {
   WorkloadProfile Profile = paperProfiles()[GetParam()];
   RawTrace Trace = generateWorkloadTrace(Profile);
   TwppWpp Compacted = compactWpp(Trace);
-  std::string Path = tempPath(("twpp_diff_" + Profile.Name + ".twpp").c_str());
+  std::string Path = uniqueTempPath("twpp_diff_" + Profile.Name + ".twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
   TwppWpp Back = decodeBothModes(Path);
   EXPECT_EQ(Back, Compacted);

@@ -12,19 +12,16 @@
 #include "wpp/Concurrent.h"
 #include "workloads/Concurrent.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
 using namespace twpp;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return (std::filesystem::temp_directory_path() / Name).string();
-}
 
 ConcurrentWpp buildSmall() {
   ConcurrentProfile P = testConcurrentProfiles()[0]; // contended
@@ -44,7 +41,7 @@ TEST(ConcurrentArchiveTest, RoundTrip) {
   ConcurrentTrace Trace = generateConcurrentTrace(P);
   ConcurrentWpp Wpp = compactConcurrentWpp(Trace);
 
-  std::string Path = tempPath("conc_roundtrip.twpp");
+  std::string Path = uniqueTempPath("conc_roundtrip.twpp");
   ASSERT_TRUE(writeConcurrentArchiveFile(Path, Wpp));
 
   ArchiveReader Reader;
@@ -88,7 +85,7 @@ TEST(ConcurrentArchiveTest, SingleThreadedArchivesStayVersion1) {
   Reader.readFixed32(); // magic
   EXPECT_EQ(Reader.readFixed32(), 1u);
 
-  std::string Path = tempPath("conc_v1.twpp");
+  std::string Path = uniqueTempPath("conc_v1.twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Wpp.Body));
   ArchiveReader A;
   ASSERT_TRUE(A.open(Path));
@@ -119,7 +116,7 @@ TEST(ConcurrentArchiveTest, UnknownSectionTagRejected) {
   Bytes[TrailerAt + 2] = 'X';
   Bytes[TrailerAt + 3] = 'X';
 
-  std::string Path = tempPath("conc_unknown_tag.twpp");
+  std::string Path = uniqueTempPath("conc_unknown_tag.twpp");
   ASSERT_TRUE(writeFileBytes(Path, Bytes).ok());
   ArchiveReader Reader;
   EXPECT_FALSE(Reader.open(Path));
@@ -137,7 +134,7 @@ TEST(ConcurrentArchiveTest, TruncatedTrailerRejected) {
   std::vector<uint8_t> Bytes = encodeConcurrentArchive(Wpp);
   Bytes.resize(Bytes.size() - 7); // clip into the last section payload
 
-  std::string Path = tempPath("conc_truncated.twpp");
+  std::string Path = uniqueTempPath("conc_truncated.twpp");
   ASSERT_TRUE(writeFileBytes(Path, Bytes).ok());
   ArchiveReader Reader;
   EXPECT_FALSE(Reader.open(Path));

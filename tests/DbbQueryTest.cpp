@@ -18,6 +18,7 @@
 #include "wpp/Archive.h"
 #include "wpp/Dbb.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -147,7 +148,7 @@ TEST(DbbQueryTest, ArchiveRoutedQueriesAgreeAcrossIoModes) {
   // and every query answer must be identical.
   RawTrace Trace = fixtures::randomTrace(4242, 6, 2000);
   TwppWpp Compacted = compactWpp(Trace);
-  std::string Path = ::testing::TempDir() + "/dbb_query_io_modes.twpp";
+  std::string Path = uniqueTempPath("dbb_query_io_modes.twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
 
   ArchiveReader Buffered, Mapped;

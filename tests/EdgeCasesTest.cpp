@@ -11,6 +11,8 @@
 #include "wpp/Archive.h"
 #include "wpp/Twpp.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -75,7 +77,7 @@ TEST(InterpreterEdgeTest, SignedOverflowWrapsInsteadOfTrapping) {
 
 TEST(ArchiveEdgeTest, EmptyWppRoundTrips) {
   TwppWpp Empty;
-  std::string Path = ::testing::TempDir() + "/twpp_empty.twpp";
+  std::string Path = uniqueTempPath("twpp_empty.twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Empty));
   ArchiveReader Reader;
   ASSERT_TRUE(Reader.open(Path));
@@ -93,7 +95,7 @@ TEST(ArchiveEdgeTest, PrefixOnlyFileRejected) {
   Wpp.Functions.resize(3);
   std::vector<uint8_t> Bytes = encodeArchive(Wpp);
   Bytes.resize(28);
-  std::string Path = ::testing::TempDir() + "/twpp_prefix.twpp";
+  std::string Path = uniqueTempPath("twpp_prefix.twpp");
   ASSERT_TRUE(writeFileBytes(Path, Bytes));
   ArchiveReader Reader;
   EXPECT_FALSE(Reader.open(Path));

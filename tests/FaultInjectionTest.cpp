@@ -20,6 +20,7 @@
 #include "wpp/Archive.h"
 #include "wpp/Streaming.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 
 #include <cstdio>
@@ -31,10 +32,6 @@
 using namespace twpp;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "/" + Name;
-}
 
 TEST(FaultSpec, ParsesValidSpecs) {
   std::vector<fault::FaultRule> Rules;
@@ -141,7 +138,7 @@ TEST(FaultSeam, WireOpMatchingIsExactAndClassIsolated) {
   EXPECT_EQ(CorruptFires, 5); // every 2nd of 10 matching hits
   EXPECT_EQ(TruncateFires, 0);
   // A wire rule never leaks into the io seam.
-  std::string Path = tempPath("wire_isolated.bin");
+  std::string Path = uniqueTempPath("wire_isolated.bin");
   EXPECT_TRUE(writeFileBytes(Path, {1, 2, 3}).ok());
   std::remove(Path.c_str());
 }
@@ -156,7 +153,7 @@ TEST(FaultSeam, WireStarMatchesEveryOp) {
 
 TEST(FaultSeam, NthFaultFiresOnceAndNamesInjection) {
   fault::ScopedFaultSpec Spec("io:write:n=1");
-  std::string Path = tempPath("nth_write.bin");
+  std::string Path = uniqueTempPath("nth_write.bin");
   uint64_t Before = fault::injectedFaultCount();
   IoError First = writeFileBytes(Path, {1, 2, 3});
   EXPECT_FALSE(First.ok());
@@ -172,7 +169,7 @@ TEST(FaultSeam, NthFaultFiresOnceAndNamesInjection) {
 
 TEST(FaultSeam, SuspendShieldsCurrentThread) {
   fault::ScopedFaultSpec Spec("io:write:every=1");
-  std::string Path = tempPath("suspended.bin");
+  std::string Path = uniqueTempPath("suspended.bin");
   EXPECT_FALSE(writeFileBytes(Path, {1}).ok());
   {
     fault::ScopedFaultSuspend Shield;
@@ -190,7 +187,7 @@ TEST(FaultSeam, SuspendShieldsCurrentThread) {
 TEST(FaultSeam, AtomicWriteRetriesPastTransientFault) {
   // Exactly one injected rename failure: the retry loop must absorb it.
   fault::ScopedFaultSpec Spec("io:rename:n=1");
-  std::string Path = tempPath("atomic_retry.bin");
+  std::string Path = uniqueTempPath("atomic_retry.bin");
   IoError Result = writeFileBytesAtomic(Path, {7, 7, 7});
   EXPECT_TRUE(Result.ok()) << Result.message();
   std::vector<uint8_t> Back;
@@ -203,7 +200,7 @@ TEST(FaultSeam, AtomicWriteRetriesPastTransientFault) {
 }
 
 TEST(FaultSeam, AtomicWriteFailureKeepsOldContentAndCleansTemp) {
-  std::string Path = tempPath("atomic_rollback.bin");
+  std::string Path = uniqueTempPath("atomic_rollback.bin");
   {
     fault::ScopedFaultSuspend Shield;
     ASSERT_TRUE(writeFileBytes(Path, {1, 2, 3}).ok());
@@ -225,7 +222,7 @@ TEST(FaultSeam, AtomicWriteFailureKeepsOldContentAndCleansTemp) {
 }
 
 TEST(FaultSeam, ShortReadAndStatFaultsAreTyped) {
-  std::string Path = tempPath("typed_reads.bin");
+  std::string Path = uniqueTempPath("typed_reads.bin");
   {
     fault::ScopedFaultSuspend Shield;
     ASSERT_TRUE(writeFileBytes(Path, {1, 2, 3, 4}).ok());
@@ -253,7 +250,7 @@ TEST(FaultSeam, ShortReadAndStatFaultsAreTyped) {
 
 TEST(FaultSeam, JournalFaultsDegradeStreamingNotAbort) {
   RawTrace Trace = fixtures::randomTrace(64, 4, 200);
-  std::string Path = tempPath("faulty_journal.twppj");
+  std::string Path = uniqueTempPath("faulty_journal.twppj");
   fault::ScopedFaultSpec Spec("io:journal:every=2");
   StreamingConfig Config;
   Config.JournalPath = Path;
@@ -330,7 +327,7 @@ TEST(FaultSeam, ProbabilisticRuleIsDeterministicPerSeed) {
   auto Pattern = [](uint64_t Seed) {
     fault::ScopedFaultSpec Spec("io:write:p=0.5:seed=" +
                                 std::to_string(Seed));
-    std::string Path = tempPath("prob.bin");
+    std::string Path = uniqueTempPath("prob.bin");
     std::vector<bool> Fails;
     for (int I = 0; I < 32; ++I)
       Fails.push_back(!writeFileBytes(Path, {1}).ok());

@@ -21,6 +21,8 @@
 
 #include "gtest/gtest.h"
 
+#include "TestSupport.h"
+
 #include <chrono>
 #include <thread>
 
@@ -33,10 +35,6 @@ using namespace twpp;
 using namespace twpp::ingest;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "/" + Name;
-}
 
 /// A sizable, deterministic trace (~3000 events): fixtures::randomTrace's
 /// random walk can end after a handful of events, which would leave the
@@ -89,7 +87,7 @@ void expectAccountingIdentity(const IngestReport &Report) {
 TEST(IngestServerTest, LoopbackMatchesDirectCompactionByteForByte) {
   std::vector<RawTrace> Traces = sampleTraces(3);
   IngestConfig Config;
-  Config.OutPrefix = tempPath("loopback");
+  Config.OutPrefix = uniqueTempPath("loopback");
   IngestReport Report = runLoopbackIngest(Config, Traces);
 
   ASSERT_TRUE(Report.clean()) << Report.FatalError;
@@ -130,7 +128,7 @@ TEST(IngestServerTest, ShedPolicyNeverHangsAndAccountsEveryDrop) {
   IngestConfig Config;
   Config.QueueCapacity = 1;
   Config.Policy = BackpressurePolicy::Shed;
-  Config.JournalPrefix = tempPath("shed");
+  Config.JournalPrefix = uniqueTempPath("shed");
   Config.CheckpointIntervalFrames = 1;
   ProducerOptions Small;
   Small.BatchEvents = 64;
@@ -169,7 +167,7 @@ TEST(IngestServerTest, ChaosSweepNeverCrashesHangsOrSilentlyDrops) {
   for (const ChaosCase &Case : Cases) {
     fault::ScopedFaultSpec Armed(Case.Spec);
     IngestConfig Config;
-    Config.OutPrefix = tempPath(std::string("chaos_") + Case.Name);
+    Config.OutPrefix = uniqueTempPath(std::string("chaos_") + Case.Name);
     IngestReport Report = runLoopbackIngest(Config, Traces, Fast);
 
     EXPECT_TRUE(Report.FatalError.empty()) << Case.Name;
@@ -263,7 +261,7 @@ TEST(IngestServerTest, DisconnectWithoutByeSynthesizesExitsAndReports) {
   // no Bye
 
   IngestConfig Config;
-  Config.OutPrefix = tempPath("disconnect");
+  Config.OutPrefix = uniqueTempPath("disconnect");
   IngestReport Report = ingestRawBytes(Config, Bytes);
 
   ASSERT_EQ(Report.Producers.size(), 1u);
@@ -322,8 +320,8 @@ TEST(IngestServerTest, CrashBetweenCheckpointsResumesByteIdentical) {
     Golden.push_back(goldenArchiveBytes(Trace));
 
   IngestConfig Config;
-  Config.OutPrefix = tempPath("crashrun");
-  Config.JournalPrefix = tempPath("crashrun");
+  Config.OutPrefix = uniqueTempPath("crashrun");
+  Config.JournalPrefix = uniqueTempPath("crashrun");
   Config.CheckpointIntervalFrames = 4;
   ProducerOptions Small;
   Small.BatchEvents = 64;
@@ -395,7 +393,7 @@ TEST(IngestServerTest, MemoryBudgetDegradesDetailInsteadOfAborting) {
     Trace.Events.push_back(TraceEvent::exit());
 
   IngestConfig Config;
-  Config.OutPrefix = tempPath("budget");
+  Config.OutPrefix = uniqueTempPath("budget");
   Config.MemoryBudgetBytes = 2048;
   IngestReport Report = runLoopbackIngest(Config, {Trace});
 

@@ -24,6 +24,7 @@
 #include "wpp/Journal.h"
 #include "wpp/Streaming.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -35,10 +36,6 @@
 using namespace twpp;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "/" + Name;
-}
 
 void feedPrefix(StreamingCompactor &Sink, const RawTrace &Trace,
                 size_t Events) {
@@ -296,7 +293,7 @@ TEST(JournalRecovery, CrashAtEveryEventIndex) {
   // One uninterrupted journaled run, checkpointing after every event.
   // The run is setup (the subject is the kill points below), so it is
   // shielded from any environment fault sweep.
-  std::string JournalPath = tempPath("every_event.twppj");
+  std::string JournalPath = uniqueTempPath("every_event.twppj");
   {
     fault::ScopedFaultSuspend SetupShield;
     StreamingConfig Config;
@@ -322,7 +319,8 @@ TEST(JournalRecovery, CrashAtEveryEventIndex) {
   // leaves behind. The recovered prefix must compact byte-identically to
   // an uninterrupted run over that prefix.
   for (size_t K = 0; K < Ends.size(); ++K) {
-    std::string KillPath = tempPath("kill_" + std::to_string(K) + ".twppj");
+    std::string KillPath =
+        uniqueTempPath("kill_" + std::to_string(K) + ".twppj");
     {
       fault::ScopedFaultSuspend Shield;
       std::vector<uint8_t> Prefix(Journal.begin(),
@@ -356,7 +354,7 @@ TEST(JournalRecovery, CrashAtEveryEventIndex) {
 
 TEST(JournalRecovery, TornJournalAtAnyByteRecoversPriorCheckpoint) {
   RawTrace Trace = fixtures::randomTrace(9, 4, 160);
-  std::string JournalPath = tempPath("torn_sweep.twppj");
+  std::string JournalPath = uniqueTempPath("torn_sweep.twppj");
   {
     fault::ScopedFaultSuspend SetupShield; // the cuts below are the subject
     StreamingConfig Config;
@@ -379,8 +377,8 @@ TEST(JournalRecovery, TornJournalAtAnyByteRecoversPriorCheckpoint) {
   // checkpoint wholly contained in the prefix, or fail with a named
   // error when no complete record survives.
   for (size_t Cut = 0; Cut <= Journal.size(); Cut += 7) {
-    std::string TornPath = tempPath("torn_" + std::to_string(Cut) +
-                                    ".twppj");
+    std::string TornPath =
+        uniqueTempPath("torn_" + std::to_string(Cut) + ".twppj");
     {
       fault::ScopedFaultSuspend Shield;
       std::vector<uint8_t> Prefix(Journal.begin(),
@@ -409,7 +407,7 @@ TEST(JournalRecovery, TornJournalAtAnyByteRecoversPriorCheckpoint) {
 TEST(JournalRecovery, ResumedJournalKeepsAppending) {
   RawTrace Trace = fixtures::randomTrace(31, 4, 200);
   size_t Half = Trace.Events.size() / 2;
-  std::string JournalPath = tempPath("resume_append.twppj");
+  std::string JournalPath = uniqueTempPath("resume_append.twppj");
   {
     fault::ScopedFaultSuspend SetupShield; // the "crash" is the subject
     StreamingConfig Config;
@@ -544,7 +542,7 @@ TEST(JournalRecovery, UnwritableJournalDegradesNotAborts) {
   RawTrace Trace = fixtures::randomTrace(55, 4, 120);
   StreamingConfig Config;
   Config.JournalPath =
-      tempPath("no_such_dir") + "/nested/impossible.twppj";
+      uniqueTempPath("no_such_dir") + "/nested/impossible.twppj";
   Config.CheckpointInterval = 1;
   StreamingCompactor Sink(Trace.FunctionCount, Config);
   EXPECT_FALSE(Sink.lastJournalError().ok());
@@ -560,11 +558,12 @@ TEST(JournalRecovery, UnwritableJournalDegradesNotAborts) {
 TEST(JournalRecovery, ResumeFromMissingOrEmptyJournalFails) {
   std::string Error;
   EXPECT_EQ(StreamingCompactor::resumeFromJournal(
-                tempPath("does_not_exist.twppj"), StreamingConfig(), &Error),
+                uniqueTempPath("does_not_exist.twppj"), StreamingConfig(),
+                &Error),
             nullptr);
   EXPECT_FALSE(Error.empty());
 
-  std::string EmptyPath = tempPath("empty.twppj");
+  std::string EmptyPath = uniqueTempPath("empty.twppj");
   {
     fault::ScopedFaultSuspend Shield;
     ASSERT_TRUE(writeFileBytes(EmptyPath, {}).ok());

@@ -26,6 +26,7 @@
 #include "wpp/TimestampSet.h"
 #include "wpp/Twpp.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -58,10 +59,6 @@ protected:
 
 int64_t liveOf(const char *Tag) {
   return obs::memTracker().account(Tag).liveBytes();
-}
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "/" + Name;
 }
 
 /// A fully compacted WPP from a random trace, the input the archive-level
@@ -225,7 +222,7 @@ TEST_F(MemoryTest, PathTraceDeepSizeMatchesFormula) {
 
 TEST_F(MemoryTest, AuditReconcilesTrackerAgainstDeepSize) {
   TwppWpp Wpp = compactedWpp(99, 5, 400);
-  std::string Path = tempPath("mem_audit.twpp");
+  std::string Path = uniqueTempPath("mem_audit.twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Wpp));
   // Building the fixture leaves legitimate dbb.tables/twpp.tables live
   // records behind; clear them so the leak assertion below sees only
@@ -260,7 +257,7 @@ TEST_F(MemoryTest, AuditReconcilesInBothIoModes) {
   // neither the mapping nor the decode arena may leak into the scoped
   // capture the audit reports.
   TwppWpp Wpp = compactedWpp(42, 5, 400);
-  std::string Path = tempPath("mem_audit_modes.twpp");
+  std::string Path = uniqueTempPath("mem_audit_modes.twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Wpp));
   obs::memTracker().reset();
 
@@ -315,7 +312,7 @@ TEST_F(MemoryTest, ArenaLedgerSurvivesTrackingToggle) {
 TEST_F(MemoryTest, MmapLedgerRecordsAndSettles) {
   if (!MappedFile::available())
     GTEST_SKIP() << "mmap not available on this platform";
-  std::string Path = tempPath("mem_mmap_ledger.bin");
+  std::string Path = uniqueTempPath("mem_mmap_ledger.bin");
   std::vector<uint8_t> Payload(513, 0xAB);
   ASSERT_TRUE(writeFileBytes(Path, Payload));
   {
@@ -331,7 +328,7 @@ TEST_F(MemoryTest, MmapLedgerRecordsAndSettles) {
 
 TEST_F(MemoryTest, MemoryChecksRunCleanOnAGoodArchive) {
   TwppWpp Wpp = compactedWpp(7, 4, 250);
-  std::string Path = tempPath("mem_clean.twpp");
+  std::string Path = uniqueTempPath("mem_clean.twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Wpp));
   verify::DiagnosticEngine Engine;
   verify::runMemoryChecks(Path, Engine);
@@ -343,7 +340,7 @@ TEST_F(MemoryTest, NegativeLiveBytesFireTheCheck) {
   obs::memAlloc("broken.tag", 10);
   obs::memFree("broken.tag", 90);
   verify::DiagnosticEngine Engine;
-  verify::runMemoryChecks(tempPath("does_not_exist.twpp"), Engine);
+  verify::runMemoryChecks(uniqueTempPath("does_not_exist.twpp"), Engine);
   EXPECT_FALSE(Engine.clean());
   bool Found = false;
   for (const verify::Diagnostic &D : Engine.diagnostics())

@@ -18,6 +18,8 @@
 #include "wpp/Archive.h"
 #include "wpp/Twpp.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -556,7 +558,7 @@ TEST_F(ObsTest, PipelineRunPopulatesEveryStage) {
   RawTrace Trace = loopyTrace();
   TwppWpp Compacted = compactWpp(Trace);
 
-  std::string Path = ::testing::TempDir() + "obs_pipeline.twpp";
+  std::string Path = uniqueTempPath("obs_pipeline.twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
   ArchiveReader Reader;
   ASSERT_TRUE(Reader.open(Path));
@@ -618,7 +620,7 @@ TEST_F(ObsTest, PipelineRunPopulatesEveryStage) {
 
 TEST_F(ObsTest, ArchiveReaderRejectsUnknownFunctionIds) {
   TwppWpp Compacted = compactWpp(loopyTrace());
-  std::string Path = ::testing::TempDir() + "obs_bounds.twpp";
+  std::string Path = uniqueTempPath("obs_bounds.twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Compacted));
   ArchiveReader Reader;
   ASSERT_TRUE(Reader.open(Path));

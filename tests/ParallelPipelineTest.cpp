@@ -18,6 +18,7 @@
 #include "wpp/Archive.h"
 #include "wpp/Streaming.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -31,10 +32,6 @@
 using namespace twpp;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "/" + Name;
-}
 
 //===----------------------------------------------------------------------===//
 // ThreadPool
@@ -197,8 +194,8 @@ TEST(ParallelDeterminism, ArchiveFilesAreByteIdentical) {
   RawTrace Trace = generateWorkloadTrace(testProfiles().front());
   TwppWpp Wpp = compactWpp(Trace);
 
-  std::string PathSerial = tempPath("jobs1.twpp");
-  std::string PathWide = tempPath("jobs8.twpp");
+  std::string PathSerial = uniqueTempPath("jobs1.twpp");
+  std::string PathWide = uniqueTempPath("jobs8.twpp");
   ASSERT_TRUE(
       writeArchiveFile(PathSerial, Wpp, ParallelConfig::withJobs(1)));
   ASSERT_TRUE(writeArchiveFile(PathWide, Wpp, ParallelConfig::withJobs(8)));

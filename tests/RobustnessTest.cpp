@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 #include "sequitur/FlatGrammar.h"
 #include "sequitur/Sequitur.h"
@@ -116,8 +117,8 @@ TEST_P(DecoderFuzz, ArchiveReaderOnCorruptFiles) {
   Rng R(GetParam() ^ 0x5555);
   TwppWpp Compacted = compactWpp(fixtures::randomTrace(GetParam()));
   std::vector<uint8_t> Valid = encodeArchive(Compacted);
-  std::string Path = ::testing::TempDir() + "/twpp_fuzz_" +
-                     std::to_string(GetParam()) + ".twpp";
+  std::string Path =
+      uniqueTempPath("twpp_fuzz_" + std::to_string(GetParam()) + ".twpp");
   for (int I = 0; I < 25; ++I) {
     ASSERT_TRUE(writeFileBytes(Path, corrupt(Valid, R)));
     ArchiveReader Reader;

@@ -17,6 +17,7 @@
 #include "wpp/Archive.h"
 #include "wpp/Streaming.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 #include "support/Random.h"
 
@@ -28,10 +29,6 @@
 using namespace twpp;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "/" + Name;
-}
 
 /// A trace where most functions never run: FunctionCount is much larger
 /// than the set of ids actually called, so per-function tables (and
@@ -151,7 +148,7 @@ void checkRoundTrip(const RawTrace &Trace, const std::string &PathTag) {
 
   // Through the on-disk archive and back — decoded on both the buffered
   // and the zero-copy read path, which must be structurally identical.
-  std::string Path = tempPath("round_trip_" + PathTag + ".twpp");
+  std::string Path = uniqueTempPath("round_trip_" + PathTag + ".twpp");
   ASSERT_TRUE(writeArchiveFile(Path, Twpp));
   TwppWpp PerMode[2];
   for (IoMode Mode : {IoMode::Buffered, IoMode::Mmap}) {

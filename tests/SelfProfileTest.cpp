@@ -17,6 +17,8 @@
 #include "verify/Verify.h"
 #include "wpp/Archive.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -516,7 +518,7 @@ protected:
     std::remove(Archive.c_str());
     std::remove((Archive + ".meta").c_str());
   }
-  std::string Archive = testing::TempDir() + "selfprof_e2e.twppa";
+  std::string Archive = uniqueTempPath("selfprof_e2e.twppa");
 };
 
 TEST_F(SelfProfilerEndToEnd, ArchiveVerifiesCleanAndMatchesSidecar) {

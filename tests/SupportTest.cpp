@@ -14,6 +14,8 @@
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -257,7 +259,7 @@ TEST(StatsTest, Formatting) {
 }
 
 TEST(FileIoTest, WholeFileAndSliceRoundTrip) {
-  std::string Path = ::testing::TempDir() + "/twpp_fileio_test.bin";
+  std::string Path = uniqueTempPath("twpp_fileio_test.bin");
   std::vector<uint8_t> Data;
   for (int I = 0; I < 1000; ++I)
     Data.push_back(static_cast<uint8_t>(I * 7));
@@ -374,7 +376,7 @@ TEST(ArenaTest, ZeroByteAllocationsAreValid) {
 TEST(MmapTest, MapsFileContents) {
   if (!MappedFile::available())
     GTEST_SKIP() << "mmap not available on this platform";
-  std::string Path = ::testing::TempDir() + "/mmap_contents.bin";
+  std::string Path = uniqueTempPath("mmap_contents.bin");
   std::vector<uint8_t> Payload = {1, 2, 3, 250, 251, 252};
   ASSERT_TRUE(writeFileBytes(Path, Payload));
   MappedFile Map;
@@ -394,7 +396,7 @@ TEST(MmapTest, EmptyFileMapsToNullSpan) {
   // with an empty span so callers need no special case.
   if (!MappedFile::available())
     GTEST_SKIP() << "mmap not available on this platform";
-  std::string Path = ::testing::TempDir() + "/mmap_empty.bin";
+  std::string Path = uniqueTempPath("mmap_empty.bin");
   ASSERT_TRUE(writeFileBytes(Path, {}));
   MappedFile Map;
   ASSERT_TRUE(Map.map(Path));
@@ -406,7 +408,7 @@ TEST(MmapTest, EmptyFileMapsToNullSpan) {
 
 TEST(MmapTest, MissingFileFailsCleanly) {
   MappedFile Map;
-  IoError Error = Map.map(::testing::TempDir() + "/mmap_no_such_file.bin");
+  IoError Error = Map.map(uniqueTempPath("mmap_no_such_file.bin"));
   EXPECT_FALSE(Error);
   EXPECT_FALSE(Map.mapped());
 }
@@ -414,8 +416,8 @@ TEST(MmapTest, MissingFileFailsCleanly) {
 TEST(MmapTest, RemapReplacesPreviousMapping) {
   if (!MappedFile::available())
     GTEST_SKIP() << "mmap not available on this platform";
-  std::string PathA = ::testing::TempDir() + "/mmap_a.bin";
-  std::string PathB = ::testing::TempDir() + "/mmap_b.bin";
+  std::string PathA = uniqueTempPath("mmap_a.bin");
+  std::string PathB = uniqueTempPath("mmap_b.bin");
   ASSERT_TRUE(writeFileBytes(PathA, {1, 1, 1}));
   ASSERT_TRUE(writeFileBytes(PathB, {2, 2}));
   MappedFile Map;
@@ -430,7 +432,7 @@ TEST(MmapTest, RemapReplacesPreviousMapping) {
 TEST(MmapTest, MoveTransfersOwnership) {
   if (!MappedFile::available())
     GTEST_SKIP() << "mmap not available on this platform";
-  std::string Path = ::testing::TempDir() + "/mmap_move.bin";
+  std::string Path = uniqueTempPath("mmap_move.bin");
   ASSERT_TRUE(writeFileBytes(Path, {9, 8, 7}));
   MappedFile A;
   ASSERT_TRUE(A.map(Path));
@@ -445,7 +447,7 @@ TEST(MmapTest, MoveTransfersOwnership) {
 TEST(MmapTest, InjectedFaultFailsMap) {
   if (!MappedFile::available())
     GTEST_SKIP() << "mmap not available on this platform";
-  std::string Path = ::testing::TempDir() + "/mmap_fault.bin";
+  std::string Path = uniqueTempPath("mmap_fault.bin");
   ASSERT_TRUE(writeFileBytes(Path, {1, 2, 3}));
   fault::ScopedFaultSpec Spec("io:mmap:n=1");
   MappedFile Map;

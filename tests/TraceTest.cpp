@@ -9,6 +9,8 @@
 
 #include "support/Random.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -106,7 +108,7 @@ TEST(UncompactedFileTest, RejectsCorruptMagic) {
 }
 
 TEST(UncompactedFileTest, FileRoundTrip) {
-  std::string Path = ::testing::TempDir() + "/twpp_owpp_test.bin";
+  std::string Path = uniqueTempPath("twpp_owpp_test.bin");
   RawTrace Trace = figure1Trace();
   ASSERT_TRUE(writeUncompactedTraceFile(Path, Trace));
   RawTrace Back;

@@ -21,6 +21,7 @@
 #include "workloads/Workload.h"
 #include "wpp/Archive.h"
 
+#include "TestSupport.h"
 #include "TestTraces.h"
 
 #include <gtest/gtest.h>
@@ -104,7 +105,7 @@ protected:
 
   std::string writeVariant(const std::vector<uint8_t> &Variant,
                            const std::string &Name) {
-    std::string Path = ::testing::TempDir() + "/verify_" + Name + ".twpp";
+    std::string Path = uniqueTempPath("verify_" + Name + ".twpp");
     EXPECT_TRUE(writeFileBytes(Path, Variant));
     Cleanup.push_back(Path);
     return Path;
@@ -382,16 +383,7 @@ TEST_F(VerifyCorruption, BitFlippedBlockIsNamedOrDecodesDifferently) {
 //===----------------------------------------------------------------------===//
 
 class VerifyCorruptionMode : public VerifyCorruption,
-                             public ::testing::WithParamInterface<IoMode> {
-protected:
-  /// The two IoMode instances run as concurrent ctest processes; the
-  /// parameter suffix keeps their variant files from racing each other.
-  std::string writeVariant(const std::vector<uint8_t> &Variant,
-                           const std::string &Name) {
-    return VerifyCorruption::writeVariant(
-        Variant, Name + "_" + std::string(ioModeName(GetParam())));
-  }
-};
+                             public ::testing::WithParamInterface<IoMode> {};
 
 INSTANTIATE_TEST_SUITE_P(IoModes, VerifyCorruptionMode,
                          ::testing::Values(IoMode::Buffered, IoMode::Mmap),
@@ -401,8 +393,7 @@ INSTANTIATE_TEST_SUITE_P(IoModes, VerifyCorruptionMode,
 
 TEST_P(VerifyCorruptionMode, LastErrorNamesMissingFile) {
   ArchiveReader Reader;
-  ASSERT_FALSE(Reader.open(::testing::TempDir() + "/verify_missing.twpp",
-                           GetParam()));
+  ASSERT_FALSE(Reader.open(uniqueTempPath("verify_missing.twpp"), GetParam()));
   EXPECT_EQ(Reader.lastError().CheckId, checks::ArchiveHeader);
   EXPECT_EQ(Reader.lastError().Location, "header");
   EXPECT_EQ(Reader.lastError().ByteOffset, 0u);
