@@ -52,10 +52,6 @@
 using namespace twpp;
 using namespace twpp::ingest;
 
-const char *ingest::backpressurePolicyName(BackpressurePolicy Policy) {
-  return Policy == BackpressurePolicy::Block ? "block" : "shed";
-}
-
 bool ingest::parseBackpressurePolicy(const std::string &Text,
                                      BackpressurePolicy &Policy) {
   if (Text == "block") {
@@ -75,6 +71,17 @@ constexpr uint32_t CheckpointVersion = 1;
 constexpr uint8_t FlagSawHello = 1u << 0;
 constexpr uint8_t FlagSawBye = 1u << 1;
 constexpr uint8_t FlagHasSnapshot = 1u << 2;
+
+/// Transient read-error retries per connection before it is treated as
+/// disconnected; attempt k backs off RetryBackoffMs << (k-1).
+constexpr unsigned ReadRetryLimit = 3;
+constexpr unsigned RetryBackoffMs = 1;
+/// read() chunk size. Frames routinely straddle chunk edges; the decoder
+/// is built for it.
+constexpr size_t ReadChunkBytes = 64 * 1024;
+/// Hello functionCount sanity cap; a CRC-valid Hello beyond this is
+/// invalid (a garbage count would pre-size that many tables).
+constexpr uint32_t MaxFunctionCount = 1u << 20;
 
 /// The durable slice of a producer's dispatcher state — what a
 /// checkpoint record carries besides the compactor snapshot.
@@ -464,7 +471,7 @@ struct IngestServer::Impl {
   void readerLoop(Connection &C) {
 #if !defined(_WIN32)
     FrameDecoder Decoder;
-    std::vector<uint8_t> Chunk(std::max<size_t>(1, Config.ReadChunkBytes));
+    std::vector<uint8_t> Chunk(ReadChunkBytes);
     unsigned Retries = 0;
     while (!Stop.load(std::memory_order_relaxed)) {
       pollfd Pfd{};
@@ -499,13 +506,13 @@ struct IngestServer::Impl {
         break; // EOF: orderly close.
       if (Err == EINTR || Err == EAGAIN || Err == EWOULDBLOCK)
         continue;
-      if (Retries < Config.ReadRetryLimit) {
+      if (Retries < ReadRetryLimit) {
         // Transient read failure (or an injected one): back off and
         // retry before declaring the connection dead.
         ++Retries;
         ReadRetries.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(std::chrono::milliseconds(
-            Config.RetryBackoffMs << (Retries - 1)));
+            RetryBackoffMs << (Retries - 1)));
         continue;
       }
       break; // Persistent failure: treat as disconnect.
@@ -551,7 +558,7 @@ struct IngestServer::Impl {
           // cannot be honoured without discarding data; count it.
           if (Item.Payload.FunctionCount != P.FunctionCount)
             P.FramesInvalid += 1;
-        } else if (Item.Payload.FunctionCount > Config.MaxFunctionCount) {
+        } else if (Item.Payload.FunctionCount > MaxFunctionCount) {
           P.FramesInvalid += 1;
         } else {
           P.Compactor = std::make_unique<StreamingCompactor>(

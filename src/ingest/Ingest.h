@@ -63,7 +63,6 @@ enum class BackpressurePolicy : uint8_t {
   Shed,  ///< Drop the frame, count it, keep reading (lossy, accounted).
 };
 
-const char *backpressurePolicyName(BackpressurePolicy Policy);
 bool parseBackpressurePolicy(const std::string &Text,
                              BackpressurePolicy &Policy);
 
@@ -92,16 +91,6 @@ struct IngestConfig {
   /// A connection with no bytes for this long is closed (counted as an
   /// idle timeout; its producers end unclean unless already Bye'd).
   unsigned IdleTimeoutMs = 10000;
-  /// Transient read-error retries per connection before it is treated
-  /// as disconnected; attempt k backs off RetryBackoffMs << (k-1).
-  unsigned ReadRetryLimit = 3;
-  unsigned RetryBackoffMs = 1;
-  /// read() chunk size. Frames routinely straddle chunk edges; the
-  /// decoder is built for it.
-  size_t ReadChunkBytes = 64 * 1024;
-  /// Hello functionCount sanity cap; a CRC-valid Hello beyond this is
-  /// invalid (a garbage count would pre-size that many tables).
-  uint32_t MaxFunctionCount = 1u << 20;
   /// Job count for the per-function compaction stages on drain.
   ParallelConfig Parallel;
   /// Scan "<JournalPrefix>.p<ID>.twppj" on first contact with producer

@@ -26,6 +26,9 @@ using namespace twpp::ingest;
 
 namespace {
 
+/// Sleep applied when a wire:stall fault fires on a frame.
+constexpr unsigned StallMs = 20;
+
 /// Writes all of [Data, Data+Size) to Fd, retrying EINTR and short
 /// writes. EPIPE/closed receiver is terminal.
 bool writeAll(int Fd, const uint8_t *Data, size_t Size) {
@@ -69,7 +72,6 @@ struct StagedFrame {
 /// Frames a payload and applies any armed wire mutation to the encoding.
 StagedFrame stageFrame(uint32_t ProducerId, uint64_t Sequence,
                        const std::vector<uint8_t> &Payload,
-                       const ProducerOptions &Options,
                        ProducerWireStats &Stats) {
   StagedFrame Staged;
   appendWireFrame(Staged.Bytes, ProducerId, Sequence, Payload);
@@ -98,7 +100,7 @@ StagedFrame stageFrame(uint32_t ProducerId, uint64_t Sequence,
     ++Stats.Reordered;
   }
   if (fault::shouldFaultWire("stall")) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(Options.StallMs));
+    std::this_thread::sleep_for(std::chrono::milliseconds(StallMs));
     ++Stats.Stalls;
   }
   return Staged;
@@ -116,7 +118,7 @@ bool ingest::sendTraceOverFd(int Fd, const RawTrace &Trace,
 
   auto Send = [&](const std::vector<uint8_t> &Payload) {
     StagedFrame Staged =
-        stageFrame(Options.ProducerId, Sequence++, Payload, Options, Stats);
+        stageFrame(Options.ProducerId, Sequence++, Payload, Stats);
     if (Staged.Reorder && Held.empty()) {
       Held = std::move(Staged.Bytes);
       return true;

@@ -37,8 +37,6 @@ struct ProducerOptions {
   /// Events per Events frame. Bigger batches amortize syscalls and
   /// framing; the throughput bench runs at 4096.
   size_t BatchEvents = 4096;
-  /// Sleep applied when a wire:stall fault fires on a frame.
-  unsigned StallMs = 20;
 };
 
 /// Cumulative wire mutations one producer applied (all fault-driven).

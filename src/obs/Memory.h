@@ -19,9 +19,7 @@
 /// setMemTrackingEnabled(true) or the TWPP_MEM environment variable; when
 /// disabled every hook costs one relaxed atomic load. Building with
 /// -DTWPP_MEM_NO_TRACKING (CMake option TWPP_NO_MEM_TRACKING) compiles the
-/// hooks out entirely. MemAccount itself stays functional in both modes:
-/// StreamingCompactor uses a private instance to drive its memory budget,
-/// which must behave identically whether or not observability is on.
+/// hooks out entirely.
 ///
 /// Attribution model: instrumented sites either record against a fixed tag
 /// (memAlloc/memFree with a memtags:: constant) when the stage owns the
@@ -103,8 +101,7 @@ inline constexpr const char *ArenaDecode = "arena.decode";
 
 /// One tag's running byte ledger. All members are plain atomics so accounts
 /// can be fed concurrently from pool workers; recording is NOT gated here —
-/// gating happens in the memAlloc/memFree helpers so that private instances
-/// (the streaming budget) keep working with tracking disabled.
+/// gating happens at the call sites (memAlloc/memFree, MemScope).
 class MemAccount {
 public:
   void recordAlloc(uint64_t Bytes) {

@@ -53,6 +53,10 @@ uint64_t selfprof::gapBucketRepresentativeNs(uint32_t Bucket) {
 
 namespace {
 
+/// Cap on raw records buffered between drains, across all threads;
+/// overflow is dropped and counted in RecordsDropped.
+constexpr size_t MaxBufferedRecords = size_t(1) << 22;
+
 /// One span instance reconstructed from a B/E pair. Name aliases the
 /// source TraceRecord's inline buffer (the caller's vectors outlive the
 /// adaptation), so building the forest allocates only the nodes.
@@ -276,7 +280,7 @@ void SelfProfiler::drain() {
     std::vector<TraceRecord> Records = R.Ring->drainFrom(C.Cursor, Lost);
     LostRecords += Lost;
     for (TraceRecord &Rec : Records) {
-      if (BufferedCount >= Config.MaxBufferedRecords) {
+      if (BufferedCount >= MaxBufferedRecords) {
         ++LostRecords;
         continue;
       }
@@ -285,8 +289,6 @@ void SelfProfiler::drain() {
     }
   }
 }
-
-size_t SelfProfiler::bufferedRecords() const { return BufferedCount; }
 
 bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
   if (Finished) {
@@ -304,33 +306,17 @@ bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
     JsonBytes = exportTraceJson(traceRecorder()).size();
   drain();
 
-  SpanRegistry Registry(Config.RegistryCapacity);
+  SpanRegistry Registry;
   SpanEventStream Stream =
-      adaptSpanRecords(Buffered, Registry, Config.MinGapNs);
+      adaptSpanRecords(Buffered, Registry, selfprof::MinGapNs);
   Stream.Stats.RecordsDropped = LostRecords;
   Stream.Stats.TraceJsonBytes = JsonBytes;
 
   // Feed the lowered stream through a dedicated streaming compactor —
-  // the same ingest path (journal, memory budget included) any traced
-  // program uses, which is the point of the dogfood.
-  StreamingConfig SC;
-  SC.CheckpointInterval = Config.CheckpointInterval;
-  SC.JournalPath = Config.JournalPath;
-  SC.MemoryBudgetBytes = Config.MemoryBudgetBytes;
-  StreamingCompactor Compactor(Stream.Trace.FunctionCount, SC);
-  for (const TraceEvent &E : Stream.Trace.Events) {
-    switch (E.EventKind) {
-    case TraceEvent::Kind::Enter:
-      Compactor.onEnter(E.Id);
-      break;
-    case TraceEvent::Kind::Block:
-      Compactor.onBlock(E.Id);
-      break;
-    case TraceEvent::Kind::Exit:
-      Compactor.onExit();
-      break;
-    }
-  }
+  // the same ingest path any traced program uses, which is the point of
+  // the dogfood.
+  StreamingCompactor Compactor(Stream.Trace.FunctionCount);
+  replayEvents(Stream.Trace.Events, Compactor);
   TwppWpp Wpp = Compactor.takeCompacted();
 
   bool Ok = true;
@@ -344,7 +330,7 @@ bool SelfProfiler::finish(SelfProfileStats &Stats, std::string *Error) {
 
   if (Ok) {
     SelfProfileMeta Meta;
-    Meta.MinGapNs = Config.MinGapNs;
+    Meta.MinGapNs = selfprof::MinGapNs;
     Meta.FunctionPaths = Stream.FunctionPaths;
     Meta.GapBlocks = Stream.GapBlocks;
     Meta.Stats = Stream.Stats;

@@ -19,9 +19,8 @@
 ///     (its exclusive time) become one block per gap whose id names a
 ///     log2 duration bucket (2 mantissa bits, <=~19% quantization).
 ///
-/// The lowered stream feeds a dedicated StreamingCompactor (journal +
-/// memory budget apply, like any other ingest) and is written as a
-/// standard, verifier-clean .twppa archive, plus a small plain-text
+/// The lowered stream feeds a dedicated StreamingCompactor and is written
+/// as a standard, verifier-clean .twppa archive, plus a small plain-text
 /// sidecar (<archive>.meta) mapping FunctionIds back to span paths and
 /// gap blocks back to representative nanoseconds — everything
 /// tools/twpp_selfprof needs to report hottest paths per pipeline stage
@@ -61,6 +60,11 @@ inline constexpr BlockId CallMarkerBlock = 1;
 
 /// First block id available for gap-duration buckets.
 inline constexpr BlockId FirstGapBlock = 2;
+
+/// Inter-child gaps shorter than this many nanoseconds are attributed to
+/// quantization loss instead of emitting a block. Recorded in the sidecar
+/// as `mingap`.
+inline constexpr uint64_t MinGapNs = 1024;
 
 /// Log2 bucket with 2 mantissa bits for \p Ns (>= 4). Monotonic in Ns;
 /// at most ~19% relative quantization error at bucket edges.
@@ -116,19 +120,6 @@ struct SelfProfileConfig {
   std::string ArchivePath;
   /// Sidecar path; empty means ArchivePath + ".meta".
   std::string MetaPath;
-  /// Streaming-compactor durability knobs (wpp/Streaming.h). Empty /
-  /// zero disables journaling and the memory budget.
-  std::string JournalPath;
-  uint64_t CheckpointInterval = 0;
-  uint64_t MemoryBudgetBytes = 0;
-  /// Inter-child gaps shorter than this are attributed to quantization
-  /// loss instead of emitting a block.
-  uint64_t MinGapNs = 1024;
-  /// Cap on raw records buffered between drains, across all threads;
-  /// overflow is dropped and counted in RecordsDropped.
-  size_t MaxBufferedRecords = size_t(1) << 22;
-  /// Span-path registry capacity (distinct paths).
-  size_t RegistryCapacity = 1 << 12;
   /// Also measure the equivalent Chrome-trace JSON export's size into
   /// Stats.TraceJsonBytes (the compaction-ratio comparison).
   bool CompareTraceJson = false;
@@ -158,9 +149,6 @@ public:
   /// quiescent. \returns false (with \p Error filled) when the archive
   /// or sidecar cannot be written; the stats are valid either way.
   bool finish(SelfProfileStats &Stats, std::string *Error = nullptr);
-
-  /// Records buffered so far (across threads), for tests.
-  size_t bufferedRecords() const;
 
 private:
   struct RingCursor {

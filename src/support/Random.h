@@ -75,15 +75,6 @@ public:
     return Weights.size() - 1;
   }
 
-  /// Samples a geometric-ish count: minimum \p Min, then keeps adding one
-  /// with probability \p Continue. Used for loop trip counts.
-  uint64_t nextGeometric(uint64_t Min, double Continue, uint64_t Cap) {
-    uint64_t N = Min;
-    while (N < Cap && nextBool(Continue))
-      ++N;
-    return N;
-  }
-
 private:
   uint64_t State;
 };

@@ -10,6 +10,22 @@ using namespace twpp;
 
 TraceSink::~TraceSink() = default;
 
+void twpp::replayEvents(std::span<const TraceEvent> Events, TraceSink &Sink) {
+  for (const TraceEvent &Event : Events) {
+    switch (Event.EventKind) {
+    case TraceEvent::Kind::Enter:
+      Sink.onEnter(Event.Id);
+      break;
+    case TraceEvent::Kind::Block:
+      Sink.onBlock(Event.Id);
+      break;
+    case TraceEvent::Kind::Exit:
+      Sink.onExit();
+      break;
+    }
+  }
+}
+
 uint64_t RawTrace::blockEventCount() const {
   uint64_t Count = 0;
   for (const TraceEvent &Event : Events)

@@ -18,6 +18,7 @@
 #define TWPP_TRACE_EVENTS_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace twpp {
@@ -75,6 +76,10 @@ public:
   virtual void onBlock(BlockId B) = 0;
   virtual void onExit() = 0;
 };
+
+/// Feeds \p Events, in order, into \p Sink. Pass a subspan to replay a
+/// prefix or a suffix of a trace.
+void replayEvents(std::span<const TraceEvent> Events, TraceSink &Sink);
 
 /// TraceSink that accumulates the events into a RawTrace.
 class CollectingSink final : public TraceSink {

@@ -19,19 +19,7 @@ PartitionedWpp twpp::partitionWpp(const RawTrace &Trace) {
   // One implementation for both modes: the offline path replays the
   // event stream into the online compactor.
   StreamingCompactor Sink(Trace.FunctionCount);
-  for (const TraceEvent &Event : Trace.Events) {
-    switch (Event.EventKind) {
-    case TraceEvent::Kind::Enter:
-      Sink.onEnter(Event.Id);
-      break;
-    case TraceEvent::Kind::Block:
-      Sink.onBlock(Event.Id);
-      break;
-    case TraceEvent::Kind::Exit:
-      Sink.onExit();
-      break;
-    }
-  }
+  replayEvents(Trace.Events, Sink);
   return Sink.takePartitioned();
 }
 

@@ -89,36 +89,29 @@ struct StreamingCompactor::Impl {
   uint64_t EventCount = 0;
   uint64_t Checkpoints = 0;
   uint64_t Degraded = 0;
-  /// Unique-trace + open-frame bytes per the deep-size model. An
-  /// unconditional instance ledger — the budget must behave identically
-  /// whether or not tracking is enabled — mirrored into the global
-  /// stream.state tag when it is.
-  obs::MemAccount StateAccount;
+  /// Unique-trace + open-frame bytes per the deep-size model. A plain
+  /// count — the compactor is single-threaded, and the budget must behave
+  /// identically whether or not tracking is enabled.
+  uint64_t StateBytes = 0;
 
   static uint64_t openFrameBytes(size_t Blocks) {
     return sizeof(Frame) + Blocks * sizeof(BlockId);
   }
 
-  /// The tracker's live-bytes figure for this compactor.
-  uint64_t stateBytes() const {
-    int64_t Live = StateAccount.liveBytes();
-    return Live > 0 ? static_cast<uint64_t>(Live) : 0;
-  }
-
-  void stateAlloc(uint64_t Bytes) {
-    StateAccount.recordAlloc(Bytes);
-    obs::memAlloc(obs::memtags::StreamState, Bytes);
-  }
-
-  void stateFree(uint64_t Bytes) {
-    StateAccount.recordFree(Bytes);
-    obs::memFree(obs::memtags::StreamState, Bytes);
-  }
-
-  void stateReset() {
-    if (uint64_t Live = stateBytes())
-      obs::memFree(obs::memtags::StreamState, Live);
-    StateAccount.reset();
+  /// Moves StateBytes by \p Delta (negative on release) and, when tracking
+  /// is on, mirrors the move into the global stream.state tag.
+  void trackState(int64_t Delta) {
+    if (Delta == 0)
+      return;
+    StateBytes += static_cast<uint64_t>(Delta);
+    if (!obs::memTrackingEnabled())
+      return;
+    static obs::MemAccount &Mirror =
+        obs::memTracker().account(obs::memtags::StreamState);
+    if (Delta > 0)
+      Mirror.recordAlloc(static_cast<uint64_t>(Delta));
+    else
+      Mirror.recordFree(static_cast<uint64_t>(-Delta));
   }
 
   explicit Impl(uint32_t FunctionCount) {
@@ -126,7 +119,7 @@ struct StreamingCompactor::Impl {
     Interners.resize(FunctionCount);
   }
 
-  ~Impl() { stateReset(); } // release the mirrored stream.state live bytes
+  ~Impl() { trackState(-static_cast<int64_t>(StateBytes)); }
 
   /// Back to an empty stream (after takePartitioned), keeping the
   /// journal, config and cumulative checkpoint/degrade counters.
@@ -136,7 +129,7 @@ struct StreamingCompactor::Impl {
     Interners.assign(FunctionCount, TraceInterner());
     Stack.clear();
     EventCount = 0;
-    stateReset();
+    trackState(-static_cast<int64_t>(StateBytes));
   }
 
   /// Serializes the complete state. Everything onEnter/onBlock/onExit
@@ -191,7 +184,7 @@ struct StreamingCompactor::Impl {
       ++Checkpoints;
       M.counter(obs::names::JournalCheckpoints).add();
       M.gauge(obs::names::StreamStateBytes)
-          .set(static_cast<int64_t>(stateBytes()));
+          .set(static_cast<int64_t>(StateBytes));
     } else {
       LastJournalError = Result;
       M.counter(obs::names::JournalCheckpointFailures).add();
@@ -199,10 +192,14 @@ struct StreamingCompactor::Impl {
     return Result;
   }
 
-  void maybeCheckpoint() {
-    if (Config.CheckpointInterval == 0 || !Journal.isOpen())
-      return;
-    if (EventCount % Config.CheckpointInterval == 0)
+  /// The one per-event decision point: the memory budget first, then the
+  /// checkpoint cadence, so a checkpoint captures the degraded state.
+  void afterEvent() {
+    ++EventCount;
+    if (Config.MemoryBudgetBytes != 0 && StateBytes > Config.MemoryBudgetBytes)
+      degradeOpenFrames();
+    if (Config.CheckpointInterval != 0 &&
+        EventCount % Config.CheckpointInterval == 0 && Journal.isOpen())
       writeCheckpoint();
   }
 
@@ -210,14 +207,11 @@ struct StreamingCompactor::Impl {
   /// zero that node's already-recorded anchors, keeping the DCG anchor
   /// invariants intact against the now-shorter trace) until back under
   /// budget or nothing is left to drop.
-  void enforceBudget() {
-    if (Config.MemoryBudgetBytes == 0 ||
-        stateBytes() <= Config.MemoryBudgetBytes)
-      return;
+  void degradeOpenFrames() {
     for (Frame &F : Stack) {
       if (F.Blocks.empty())
         continue;
-      stateFree(F.Blocks.size() * sizeof(BlockId));
+      trackState(-static_cast<int64_t>(F.Blocks.size() * sizeof(BlockId)));
       PathTrace().swap(F.Blocks);
       DcgNode &Node = Wpp.Dcg.Nodes[F.NodeIndex];
       std::fill(Node.Anchors.begin(), Node.Anchors.end(), 0);
@@ -225,7 +219,7 @@ struct StreamingCompactor::Impl {
       obs::metrics().counter(obs::names::StreamDegraded).add();
       obs::traceInstant("stream_degraded", "frame",
                         static_cast<int64_t>(F.NodeIndex));
-      if (stateBytes() <= Config.MemoryBudgetBytes)
+      if (StateBytes <= Config.MemoryBudgetBytes)
         return;
     }
   }
@@ -264,19 +258,15 @@ void StreamingCompactor::onEnter(FunctionId F) {
         static_cast<uint32_t>(Parent.Blocks.size()));
   }
   P->Stack.push_back(Impl::Frame{NodeIndex, {}});
-  P->stateAlloc(Impl::openFrameBytes(0));
-  ++P->EventCount;
-  P->enforceBudget();
-  P->maybeCheckpoint();
+  P->trackState(Impl::openFrameBytes(0));
+  P->afterEvent();
 }
 
 void StreamingCompactor::onBlock(BlockId B) {
   assert(!P->Stack.empty() && "block event outside any call");
   P->Stack.back().Blocks.push_back(B);
-  P->stateAlloc(sizeof(BlockId));
-  ++P->EventCount;
-  P->enforceBudget();
-  P->maybeCheckpoint();
+  P->trackState(sizeof(BlockId));
+  P->afterEvent();
 }
 
 void StreamingCompactor::onExit() {
@@ -304,12 +294,10 @@ void StreamingCompactor::onExit() {
   Node.TraceIndex =
       P->Interners[Node.Function].intern(Table, std::move(Top.Blocks));
   ++Table.UseCounts[Node.TraceIndex];
-  P->stateFree(Impl::openFrameBytes(TraceLen));
+  P->trackState(-static_cast<int64_t>(Impl::openFrameBytes(TraceLen)));
   if (Table.UniqueTraces.size() > UniqueBefore)
-    P->stateAlloc(uniqueTraceBytes(TraceLen));
-  ++P->EventCount;
-  P->enforceBudget();
-  P->maybeCheckpoint();
+    P->trackState(static_cast<int64_t>(uniqueTraceBytes(TraceLen)));
+  P->afterEvent();
 }
 
 size_t StreamingCompactor::openFrames() const { return P->Stack.size(); }
@@ -327,7 +315,7 @@ uint64_t StreamingCompactor::checkpointsWritten() const {
 uint64_t StreamingCompactor::degradedFrames() const { return P->Degraded; }
 
 uint64_t StreamingCompactor::trackedStateBytes() const {
-  return P->stateBytes();
+  return P->StateBytes;
 }
 
 const IoError &StreamingCompactor::lastJournalError() const {
@@ -430,14 +418,14 @@ bool StreamingCompactor::restoreState(const std::vector<uint8_t> &Payload) {
   P->Degraded = Degraded;
   for (size_t F = 0; F < P->Wpp.Functions.size(); ++F)
     P->Interners[F].rebuild(P->Wpp.Functions[F]);
-  P->stateReset();
+  P->trackState(-static_cast<int64_t>(P->StateBytes));
   uint64_t Recomputed = 0;
   for (const FunctionTraceTable &Table : P->Wpp.Functions)
     for (const PathTrace &Trace : Table.UniqueTraces)
       Recomputed += uniqueTraceBytes(Trace.size());
   for (const Impl::Frame &F : P->Stack)
     Recomputed += Impl::openFrameBytes(F.Blocks.size());
-  P->stateAlloc(Recomputed);
+  P->trackState(static_cast<int64_t>(Recomputed));
   return true;
 }
 

@@ -256,19 +256,7 @@ TEST(FaultSeam, JournalFaultsDegradeStreamingNotAbort) {
   Config.JournalPath = Path;
   Config.CheckpointInterval = 4;
   StreamingCompactor Sink(Trace.FunctionCount, Config);
-  for (const TraceEvent &Event : Trace.Events) {
-    switch (Event.EventKind) {
-    case TraceEvent::Kind::Enter:
-      Sink.onEnter(Event.Id);
-      break;
-    case TraceEvent::Kind::Block:
-      Sink.onBlock(Event.Id);
-      break;
-    case TraceEvent::Kind::Exit:
-      Sink.onExit();
-      break;
-    }
-  }
+  replayEvents(Trace.Events, Sink);
   // Some journal operations failed; the compactor carried on and its
   // output is unaffected.
   EXPECT_FALSE(Sink.lastJournalError().ok());
@@ -278,19 +266,7 @@ TEST(FaultSeam, JournalFaultsDegradeStreamingNotAbort) {
   {
     fault::ScopedFaultSpec Off("");
     StreamingCompactor Clean(Trace.FunctionCount);
-    for (const TraceEvent &Event : Trace.Events) {
-      switch (Event.EventKind) {
-      case TraceEvent::Kind::Enter:
-        Clean.onEnter(Event.Id);
-        break;
-      case TraceEvent::Kind::Block:
-        Clean.onBlock(Event.Id);
-        break;
-      case TraceEvent::Kind::Exit:
-        Clean.onExit();
-        break;
-      }
-    }
+    replayEvents(Trace.Events, Clean);
     while (!Clean.balanced())
       Clean.onExit();
     EXPECT_EQ(Faulty, encodeArchive(Clean.takeCompacted()));

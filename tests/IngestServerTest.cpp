@@ -162,7 +162,6 @@ TEST(IngestServerTest, ChaosSweepNeverCrashesHangsOrSilentlyDrops) {
   std::vector<RawTrace> Traces = sampleTraces(2);
   ProducerOptions Fast;
   Fast.BatchEvents = 128; // enough frames for every spec to fire
-  Fast.StallMs = 1;
 
   for (const ChaosCase &Case : Cases) {
     fault::ScopedFaultSpec Armed(Case.Spec);

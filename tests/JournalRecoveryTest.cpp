@@ -29,7 +29,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,30 +39,12 @@ using namespace twpp;
 
 namespace {
 
-void feedPrefix(StreamingCompactor &Sink, const RawTrace &Trace,
-                size_t Events) {
-  for (size_t I = 0; I < Events; ++I) {
-    const TraceEvent &Event = Trace.Events[I];
-    switch (Event.EventKind) {
-    case TraceEvent::Kind::Enter:
-      Sink.onEnter(Event.Id);
-      break;
-    case TraceEvent::Kind::Block:
-      Sink.onBlock(Event.Id);
-      break;
-    case TraceEvent::Kind::Exit:
-      Sink.onExit();
-      break;
-    }
-  }
-}
-
 /// Archive bytes of an uninterrupted run over the first \p Events events,
 /// with still-open calls closed on whatever blocks they had (the same
 /// finalization recovery applies).
 std::vector<uint8_t> referenceArchive(const RawTrace &Trace, size_t Events) {
   StreamingCompactor Sink(Trace.FunctionCount);
-  feedPrefix(Sink, Trace, Events);
+  replayEvents({Trace.Events.data(), Events}, Sink);
   while (!Sink.balanced())
     Sink.onExit();
   return encodeArchive(Sink.takeCompacted());
@@ -84,6 +68,18 @@ std::vector<size_t> recordEnds(const std::vector<uint8_t> &Journal) {
     Ends.push_back(Pos);
   }
   return Ends;
+}
+
+/// The snapshot EventCount of every record of a journal we wrote
+/// ourselves: a fixed64 at payload offset 4, after the function count.
+std::vector<uint64_t> checkpointEventCounts(const std::vector<uint8_t> &Journal) {
+  std::vector<uint64_t> Counts;
+  size_t Start = 0;
+  for (size_t End : recordEnds(Journal)) {
+    Counts.push_back(journalLe64(Journal, Start + JournalHeaderSize + 4));
+    Start = End;
+  }
+  return Counts;
 }
 
 TEST(JournalFraming, RoundTripAndScan) {
@@ -227,7 +223,7 @@ TEST(JournalRecovery, SnapshotRestoreRoundTrip) {
     RawTrace Trace = fixtures::randomTrace(Seed, 5, 400);
     size_t Half = Trace.Events.size() / 2;
     StreamingCompactor Source(Trace.FunctionCount);
-    feedPrefix(Source, Trace, Half);
+    replayEvents({Trace.Events.data(), Half}, Source);
     std::vector<uint8_t> Snapshot = Source.snapshotState();
 
     StreamingCompactor Restored(Trace.FunctionCount);
@@ -238,24 +234,9 @@ TEST(JournalRecovery, SnapshotRestoreRoundTrip) {
     EXPECT_EQ(Restored.snapshotState(), Snapshot) << "seed " << Seed;
 
     // Both compactors must accept the rest of the trace and agree.
-    feedPrefix(Source, Trace, 0); // no-op, keeps symmetry explicit
-    for (size_t I = Half; I < Trace.Events.size(); ++I) {
-      const TraceEvent &Event = Trace.Events[I];
-      switch (Event.EventKind) {
-      case TraceEvent::Kind::Enter:
-        Source.onEnter(Event.Id);
-        Restored.onEnter(Event.Id);
-        break;
-      case TraceEvent::Kind::Block:
-        Source.onBlock(Event.Id);
-        Restored.onBlock(Event.Id);
-        break;
-      case TraceEvent::Kind::Exit:
-        Source.onExit();
-        Restored.onExit();
-        break;
-      }
-    }
+    std::span<const TraceEvent> Rest = std::span(Trace.Events).subspan(Half);
+    replayEvents(Rest, Source);
+    replayEvents(Rest, Restored);
     EXPECT_EQ(encodeArchive(Source.takeCompacted()),
               encodeArchive(Restored.takeCompacted()))
         << "seed " << Seed;
@@ -265,7 +246,7 @@ TEST(JournalRecovery, SnapshotRestoreRoundTrip) {
 TEST(JournalRecovery, RestoreRejectsMalformedPayloads) {
   RawTrace Trace = fixtures::randomTrace(77, 4, 200);
   StreamingCompactor Source(Trace.FunctionCount);
-  feedPrefix(Source, Trace, Trace.Events.size() / 2);
+  replayEvents({Trace.Events.data(), Trace.Events.size() / 2}, Source);
   std::vector<uint8_t> Good = Source.snapshotState();
 
   StreamingCompactor Victim(Trace.FunctionCount);
@@ -300,7 +281,7 @@ TEST(JournalRecovery, CrashAtEveryEventIndex) {
     Config.JournalPath = JournalPath;
     Config.CheckpointInterval = 1;
     StreamingCompactor Sink(Trace.FunctionCount, Config);
-    feedPrefix(Sink, Trace, Events);
+    replayEvents({Trace.Events.data(), Events}, Sink);
     EXPECT_EQ(Sink.checkpointsWritten(), Events);
     while (!Sink.balanced())
       Sink.onExit();
@@ -361,7 +342,7 @@ TEST(JournalRecovery, TornJournalAtAnyByteRecoversPriorCheckpoint) {
     Config.JournalPath = JournalPath;
     Config.CheckpointInterval = 8;
     StreamingCompactor Sink(Trace.FunctionCount, Config);
-    feedPrefix(Sink, Trace, Trace.Events.size());
+    replayEvents(Trace.Events, Sink);
     while (!Sink.balanced())
       Sink.onExit();
     (void)Sink.takeCompacted();
@@ -414,7 +395,7 @@ TEST(JournalRecovery, ResumedJournalKeepsAppending) {
     Config.JournalPath = JournalPath;
     Config.CheckpointInterval = 4;
     StreamingCompactor Sink(Trace.FunctionCount, Config);
-    feedPrefix(Sink, Trace, Half);
+    replayEvents({Trace.Events.data(), Half}, Sink);
   } // "crash": destructor closes the journal mid-run
 
   StreamingConfig ResumeConfig;
@@ -435,20 +416,7 @@ TEST(JournalRecovery, ResumedJournalKeepsAppending) {
     RecordsBefore = scanJournal(Journal).ValidRecords;
   }
   size_t Recovered = static_cast<size_t>(Resumed->eventsConsumed());
-  for (size_t I = Recovered; I < Trace.Events.size(); ++I) {
-    const TraceEvent &Event = Trace.Events[I];
-    switch (Event.EventKind) {
-    case TraceEvent::Kind::Enter:
-      Resumed->onEnter(Event.Id);
-      break;
-    case TraceEvent::Kind::Block:
-      Resumed->onBlock(Event.Id);
-      break;
-    case TraceEvent::Kind::Exit:
-      Resumed->onExit();
-      break;
-    }
-  }
+  replayEvents(std::span(Trace.Events).subspan(Recovered), *Resumed);
   if (Resumed->lastJournalError().ok()) {
     fault::ScopedFaultSuspend Shield;
     std::vector<uint8_t> Journal;
@@ -480,36 +448,106 @@ TEST(JournalRecovery, MemoryBudgetDegradesGracefully) {
   }
   for (uint32_t Depth = 0; Depth < 12; ++Depth)
     Trace.Events.push_back(TraceEvent::exit());
-  StreamingConfig Config;
-  Config.MemoryBudgetBytes = 256;
-  StreamingCompactor Sink(Trace.FunctionCount, Config);
-  // An unbudgeted twin over the same events pins down what degradation
-  // bought: the budget is enforced against trackedStateBytes, so the
-  // budgeted compactor must hold strictly fewer tracked bytes and the
-  // difference must be exactly the dropped block detail (degradation
-  // removes block detail only, never frames or unique traces).
-  StreamingCompactor Twin(Trace.FunctionCount);
-  feedPrefix(Sink, Trace, Trace.Events.size());
-  feedPrefix(Twin, Trace, Trace.Events.size());
-  EXPECT_GT(Sink.degradedFrames(), 0u);
-  EXPECT_EQ(Twin.degradedFrames(), 0u);
-  EXPECT_LT(Sink.trackedStateBytes(), Twin.trackedStateBytes());
-  EXPECT_EQ((Twin.trackedStateBytes() - Sink.trackedStateBytes()) %
-                sizeof(BlockId),
-            0u);
-  // The incrementally maintained figure must be exactly what a
-  // from-scratch recompute lands on: restoreState rebuilds the ledger
-  // from the snapshot, so a restored twin's tracked bytes must match.
-  StreamingCompactor Restored(Trace.FunctionCount, Config);
-  ASSERT_TRUE(Restored.restoreState(Sink.snapshotState()));
-  EXPECT_EQ(Restored.trackedStateBytes(), Sink.trackedStateBytes());
-  while (!Sink.balanced())
-    Sink.onExit();
-  std::vector<uint8_t> Bytes = encodeArchive(Sink.takeCompacted());
-  verify::DiagnosticEngine Engine;
-  verify::runArchiveBytesChecks(Bytes, Engine);
-  EXPECT_TRUE(Engine.clean())
-      << verify::renderDiagnosticsText(Engine);
+  for (uint64_t Budget : {0, 64, 256, 1024}) {
+    SCOPED_TRACE("budget " + std::to_string(Budget));
+    StreamingConfig Config;
+    Config.MemoryBudgetBytes = Budget;
+    StreamingCompactor Sink(Trace.FunctionCount, Config);
+    // An unbudgeted twin over the same events pins down what degradation
+    // bought: the budget is enforced against trackedStateBytes, so the
+    // budgeted compactor must hold strictly fewer tracked bytes and the
+    // difference must be exactly the dropped block detail (degradation
+    // removes block detail only, never frames or unique traces).
+    StreamingCompactor Twin(Trace.FunctionCount);
+    uint64_t TwinPeak = 0;
+    for (size_t I = 0; I < Trace.Events.size(); ++I) {
+      std::span<const TraceEvent> Event(&Trace.Events[I], 1);
+      replayEvents(Event, Sink);
+      replayEvents(Event, Twin);
+      TwinPeak = std::max(TwinPeak, Twin.trackedStateBytes());
+      // The incrementally maintained figure must be exactly what a
+      // from-scratch recompute lands on, after every event: restoreState
+      // rebuilds the count from the snapshot, so a restored twin's tracked
+      // bytes must match.
+      StreamingCompactor Restored(Trace.FunctionCount, Config);
+      ASSERT_TRUE(Restored.restoreState(Sink.snapshotState()));
+      ASSERT_EQ(Restored.trackedStateBytes(), Sink.trackedStateBytes())
+          << "after event " << I;
+    }
+    // The budget trips exactly when the unbudgeted run exceeds it.
+    bool Exceeded = Budget != 0 && TwinPeak > Budget;
+    EXPECT_EQ(Sink.degradedFrames() > 0, Exceeded);
+    EXPECT_EQ(Twin.degradedFrames(), 0u);
+    if (Exceeded) {
+      EXPECT_LT(Sink.trackedStateBytes(), Twin.trackedStateBytes());
+      EXPECT_EQ((Twin.trackedStateBytes() - Sink.trackedStateBytes()) %
+                    sizeof(BlockId),
+                0u);
+    } else {
+      EXPECT_EQ(Sink.trackedStateBytes(), Twin.trackedStateBytes());
+    }
+    while (!Sink.balanced())
+      Sink.onExit();
+    std::vector<uint8_t> Bytes = encodeArchive(Sink.takeCompacted());
+    verify::DiagnosticEngine Engine;
+    verify::runArchiveBytesChecks(Bytes, Engine);
+    EXPECT_TRUE(Engine.clean())
+        << verify::renderDiagnosticsText(Engine);
+  }
+}
+
+TEST(JournalRecovery, CheckpointCadenceIsExact) {
+  // The checkpoint decision is a modulo on the event count: with interval
+  // K an uninterrupted run writes exactly floor(events / K) records, the
+  // r-th at event r*K. A resumed run carries the restored count on, so
+  // the records it appends stay on the same multiples of K. IO faults
+  // are not the subject here.
+  fault::ScopedFaultSuspend Shield;
+  RawTrace Trace = fixtures::randomTrace(41, 4, 300);
+  const size_t Events = Trace.Events.size();
+  for (uint64_t K : {3, 7}) {
+    SCOPED_TRACE("interval " + std::to_string(K));
+    std::string JournalPath =
+        uniqueTempPath("cadence_" + std::to_string(K) + ".twppj");
+    StreamingConfig Config;
+    Config.JournalPath = JournalPath;
+    Config.CheckpointInterval = K;
+    {
+      StreamingCompactor Sink(Trace.FunctionCount, Config);
+      replayEvents(Trace.Events, Sink);
+      EXPECT_EQ(Sink.checkpointsWritten(), Events / K);
+    }
+    std::vector<uint8_t> Journal;
+    ASSERT_TRUE(readFileBytes(JournalPath, Journal).ok());
+    std::vector<uint64_t> Counts = checkpointEventCounts(Journal);
+    ASSERT_EQ(Counts.size(), Events / K);
+    for (size_t R = 0; R < Counts.size(); ++R)
+      EXPECT_EQ(Counts[R], (R + 1) * K) << "record " << R;
+
+    // Crash halfway (the journal is rewritten from scratch), resume with
+    // the same interval, and finish the trace.
+    {
+      StreamingCompactor Sink(Trace.FunctionCount, Config);
+      replayEvents({Trace.Events.data(), Events / 2}, Sink);
+    }
+    StreamingConfig ResumeConfig;
+    ResumeConfig.CheckpointInterval = K;
+    std::string Error;
+    std::unique_ptr<StreamingCompactor> Resumed =
+        StreamingCompactor::resumeFromJournal(JournalPath, ResumeConfig,
+                                              &Error);
+    ASSERT_NE(Resumed, nullptr) << Error;
+    size_t Recovered = static_cast<size_t>(Resumed->eventsConsumed());
+    EXPECT_EQ(Recovered % K, 0u);
+    replayEvents(std::span(Trace.Events).subspan(Recovered), *Resumed);
+    Resumed.reset();
+    ASSERT_TRUE(readFileBytes(JournalPath, Journal).ok());
+    Counts = checkpointEventCounts(Journal);
+    ASSERT_EQ(Counts.size(), Events / K);
+    for (size_t R = 0; R < Counts.size(); ++R)
+      EXPECT_EQ(Counts[R], (R + 1) * K) << "record " << R;
+    std::remove(JournalPath.c_str());
+  }
 }
 
 TEST(JournalRecovery, TrackedStateBytesMirrorsGlobalTag) {
@@ -526,7 +564,7 @@ TEST(JournalRecovery, TrackedStateBytesMirrorsGlobalTag) {
   {
     RawTrace Trace = fixtures::randomTrace(77, 4, 150);
     StreamingCompactor Sink(Trace.FunctionCount);
-    feedPrefix(Sink, Trace, Trace.Events.size());
+    replayEvents(Trace.Events, Sink);
     EXPECT_EQ(Tag.liveBytes() - Before,
               static_cast<int64_t>(Sink.trackedStateBytes()));
     while (!Sink.balanced())
@@ -547,7 +585,7 @@ TEST(JournalRecovery, UnwritableJournalDegradesNotAborts) {
   StreamingCompactor Sink(Trace.FunctionCount, Config);
   EXPECT_FALSE(Sink.lastJournalError().ok());
   // Journaling is disabled, compaction is not.
-  feedPrefix(Sink, Trace, Trace.Events.size());
+  replayEvents(Trace.Events, Sink);
   EXPECT_EQ(Sink.checkpointsWritten(), 0u);
   while (!Sink.balanced())
     Sink.onExit();

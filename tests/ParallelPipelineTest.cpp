@@ -213,19 +213,7 @@ TEST(ParallelDeterminism, StreamingCompactorParallelPath) {
   // pipeline result.
   RawTrace Trace = fixtures::randomTrace(99, 6, 2500);
   StreamingCompactor Sink(Trace.FunctionCount);
-  for (const TraceEvent &Event : Trace.Events) {
-    switch (Event.EventKind) {
-    case TraceEvent::Kind::Enter:
-      Sink.onEnter(Event.Id);
-      break;
-    case TraceEvent::Kind::Block:
-      Sink.onBlock(Event.Id);
-      break;
-    case TraceEvent::Kind::Exit:
-      Sink.onExit();
-      break;
-    }
-  }
+  replayEvents(Trace.Events, Sink);
   ASSERT_TRUE(Sink.balanced());
   EXPECT_EQ(Sink.takeCompacted(ParallelConfig::withJobs(8)),
             compactWpp(Trace));

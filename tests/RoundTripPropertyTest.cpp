@@ -215,19 +215,7 @@ TEST(RoundTripEdgeCases, StreamingMatchesBatch) {
   for (int Shape = 0; Shape < 4; ++Shape) {
     RawTrace Trace = generateCase(R.next(), Shape);
     StreamingCompactor Sink(Trace.FunctionCount);
-    for (const TraceEvent &Event : Trace.Events) {
-      switch (Event.EventKind) {
-      case TraceEvent::Kind::Enter:
-        Sink.onEnter(Event.Id);
-        break;
-      case TraceEvent::Kind::Block:
-        Sink.onBlock(Event.Id);
-        break;
-      case TraceEvent::Kind::Exit:
-        Sink.onExit();
-        break;
-      }
-    }
+    replayEvents(Trace.Events, Sink);
     ASSERT_TRUE(Sink.balanced());
     EXPECT_EQ(Sink.takeCompacted(), compactWpp(Trace));
   }

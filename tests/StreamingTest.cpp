@@ -16,26 +16,10 @@ using namespace twpp;
 
 namespace {
 
-void feed(StreamingCompactor &Sink, const RawTrace &Trace) {
-  for (const TraceEvent &Event : Trace.Events) {
-    switch (Event.EventKind) {
-    case TraceEvent::Kind::Enter:
-      Sink.onEnter(Event.Id);
-      break;
-    case TraceEvent::Kind::Block:
-      Sink.onBlock(Event.Id);
-      break;
-    case TraceEvent::Kind::Exit:
-      Sink.onExit();
-      break;
-    }
-  }
-}
-
 TEST(StreamingTest, MatchesOfflinePartition) {
   RawTrace Trace = fixtures::figure1Trace();
   StreamingCompactor Sink(Trace.FunctionCount);
-  feed(Sink, Trace);
+  replayEvents(Trace.Events, Sink);
   ASSERT_TRUE(Sink.balanced());
   EXPECT_EQ(Sink.takePartitioned(), partitionWpp(Trace));
 }
@@ -43,7 +27,7 @@ TEST(StreamingTest, MatchesOfflinePartition) {
 TEST(StreamingTest, TakeCompactedMatchesFullPipeline) {
   RawTrace Trace = fixtures::randomTrace(777);
   StreamingCompactor Sink(Trace.FunctionCount);
-  feed(Sink, Trace);
+  replayEvents(Trace.Events, Sink);
   EXPECT_EQ(Sink.takeCompacted(), compactWpp(Trace));
 }
 
@@ -109,7 +93,7 @@ class StreamingEquivalence : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(StreamingEquivalence, RandomTraces) {
   RawTrace Trace = fixtures::randomTrace(GetParam(), 7, 5000);
   StreamingCompactor Sink(Trace.FunctionCount);
-  feed(Sink, Trace);
+  replayEvents(Trace.Events, Sink);
   EXPECT_EQ(Sink.takePartitioned(), partitionWpp(Trace));
 }
 

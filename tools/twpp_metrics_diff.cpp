@@ -5,9 +5,9 @@
 // Compares two telemetry exports and fails when a named counter or gauge
 // regressed beyond a threshold, turning a committed metrics file (the
 // repo's BENCH_metrics.json) into an enforceable baseline instead of a
-// dead artifact:
+// dead artifact. One command line, wrapped here:
 //
-//   twpp_metrics_diff BENCH_metrics.json fresh.jsonl \
+//   twpp_metrics_diff BENCH_metrics.json fresh.jsonl
 //       --metric twpp.bytes_out --metric archive.bytes --threshold-pct 5
 //
 // Both export shapes are accepted on either side: the single-object
