@@ -84,7 +84,8 @@ constexpr size_t ReadChunkBytes = 64 * 1024;
 constexpr uint32_t MaxFunctionCount = 1u << 20;
 
 /// The durable slice of a producer's dispatcher state — what a
-/// checkpoint record carries besides the compactor snapshot.
+/// checkpoint record carries besides the compactor snapshot. ProducerState
+/// holds its counters here, so a field added later is checkpointed too.
 struct CheckpointImage {
   uint32_t ProducerId = 0;
   uint32_t FunctionCount = 0;
@@ -98,11 +99,14 @@ struct CheckpointImage {
   uint64_t FramesInvalid = 0;
   uint64_t SeqGaps = 0;
   uint64_t CheckpointsWritten = 0;
-  std::vector<uint8_t> Snapshot; ///< Empty when no compactor existed.
-  bool HasSnapshot = false;
 };
 
-std::vector<uint8_t> encodeCheckpoint(const CheckpointImage &Image) {
+/// Encodes \p Image plus the snapshot of \p Compactor (none when null).
+std::vector<uint8_t> encodeCheckpoint(const CheckpointImage &Image,
+                                      const StreamingCompactor *Compactor) {
+  std::vector<uint8_t> Snapshot;
+  if (Compactor)
+    Snapshot = Compactor->snapshotState();
   ByteWriter W;
   W.writeFixed32(CheckpointVersion);
   W.writeFixed32(Image.ProducerId);
@@ -112,7 +116,7 @@ std::vector<uint8_t> encodeCheckpoint(const CheckpointImage &Image) {
     Flags |= FlagSawHello;
   if (Image.SawBye)
     Flags |= FlagSawBye;
-  if (Image.HasSnapshot)
+  if (Compactor)
     Flags |= FlagHasSnapshot;
   W.writeByte(Flags);
   W.writeFixed64(Image.NextSeq);
@@ -123,13 +127,15 @@ std::vector<uint8_t> encodeCheckpoint(const CheckpointImage &Image) {
   W.writeFixed64(Image.FramesInvalid);
   W.writeFixed64(Image.SeqGaps);
   W.writeFixed64(Image.CheckpointsWritten);
-  W.writeVarUint(Image.Snapshot.size());
-  W.writeBytes(Image.Snapshot.data(), Image.Snapshot.size());
+  W.writeVarUint(Snapshot.size());
+  W.writeBytes(Snapshot.data(), Snapshot.size());
   return W.take();
 }
 
+/// Decodes a checkpoint payload; \p Snapshot stays empty when the record
+/// carries no compactor.
 bool decodeCheckpoint(const std::vector<uint8_t> &Payload,
-                      CheckpointImage &Image) {
+                      CheckpointImage &Image, std::vector<uint8_t> &Snapshot) {
   ByteReader R(Payload);
   if (R.readFixed32() != CheckpointVersion)
     return false;
@@ -138,7 +144,7 @@ bool decodeCheckpoint(const std::vector<uint8_t> &Payload,
   uint8_t Flags = R.readByte();
   Image.SawHello = (Flags & FlagSawHello) != 0;
   Image.SawBye = (Flags & FlagSawBye) != 0;
-  Image.HasSnapshot = (Flags & FlagHasSnapshot) != 0;
+  bool HasSnapshot = (Flags & FlagHasSnapshot) != 0;
   Image.NextSeq = R.readFixed64();
   Image.FramesApplied = R.readFixed64();
   Image.EventsApplied = R.readFixed64();
@@ -148,10 +154,11 @@ bool decodeCheckpoint(const std::vector<uint8_t> &Payload,
   Image.SeqGaps = R.readFixed64();
   Image.CheckpointsWritten = R.readFixed64();
   uint64_t SnapshotSize = R.readVarUint();
-  if (R.hasError() || SnapshotSize != R.remaining())
+  if (R.hasError() || SnapshotSize != R.remaining() ||
+      HasSnapshot != (SnapshotSize != 0))
     return false;
-  Image.Snapshot.resize(static_cast<size_t>(SnapshotSize));
-  R.readBytes(Image.Snapshot.data(), Image.Snapshot.size());
+  Snapshot.resize(static_cast<size_t>(SnapshotSize));
+  R.readBytes(Snapshot.data(), Snapshot.size());
   return R.valid() && R.atEnd();
 }
 
@@ -234,31 +241,19 @@ private:
 /// run the journal-resume scan) on first contact; the sequencing side is
 /// guarded by SeqMutex, the dispatcher side is dispatcher-only.
 struct ProducerState {
-  uint32_t Id = 0;
-
   // --- Reader side (guarded by SeqMutex) ---
   std::mutex SeqMutex;
   SequenceTracker Sequencer;
   uint64_t ShedFrames = 0;
   uint64_t ShedBytes = 0;
 
-  // --- Dispatcher side ---
+  // --- Dispatcher side (Durable.ProducerId is set once, at creation) ---
+  CheckpointImage Durable;
   std::unique_ptr<StreamingCompactor> Compactor;
   JournalWriter Journal;
   bool JournalOpen = false;
-  uint32_t FunctionCount = 0;
-  bool SawHello = false;
-  bool SawBye = false;
   bool Resumed = false;
-  uint64_t NextSeq = 0; ///< Next sequence the dispatcher expects.
-  uint64_t FramesApplied = 0;
   uint64_t FramesSinceCheckpoint = 0;
-  uint64_t EventsApplied = 0;
-  uint64_t EventsDropped = 0;
-  uint64_t EventsDeclared = 0;
-  uint64_t FramesInvalid = 0;
-  uint64_t SeqGaps = 0;
-  uint64_t CheckpointsWritten = 0;
   uint64_t CheckpointFailures = 0;
 };
 
@@ -350,7 +345,7 @@ struct IngestServer::Impl {
     if (It != Producers.end())
       return It->second.get();
     auto State = std::make_unique<ProducerState>();
-    State->Id = ProducerId;
+    State->Durable.ProducerId = ProducerId;
     State->Sequencer.Window = std::max<size_t>(1, Config.ReorderWindow);
     if (!Config.JournalPrefix.empty()) {
       if (Config.Resume)
@@ -372,39 +367,28 @@ struct IngestServer::Impl {
   /// \p State. Any damage or absence just means a fresh start — resume
   /// never fails harder than "replay everything".
   void tryResume(ProducerState &State) {
-    std::vector<uint8_t> Bytes;
+    JournalScan Scan;
     {
       // The scan read is setup, not the path under test: a CI-wide io
       // fault sweep must not turn "resume" into "silently start over".
       fault::ScopedFaultSuspend Suspend;
-      if (!readFileBytes(journalPath(State.Id), Bytes).ok())
+      if (!readJournal(journalPath(State.Durable.ProducerId), Scan).ok())
         return;
     }
-    JournalScan Scan = scanJournal(Bytes);
-    if (Scan.LastPayload.empty())
-      return;
     CheckpointImage Image;
-    if (!decodeCheckpoint(Scan.LastPayload, Image) ||
-        Image.ProducerId != State.Id)
+    std::vector<uint8_t> Snapshot;
+    if (Scan.ValidRecords == 0 ||
+        !decodeCheckpoint(Scan.LastPayload, Image, Snapshot) ||
+        Image.ProducerId != State.Durable.ProducerId)
       return;
-    if (Image.HasSnapshot) {
+    if (!Snapshot.empty()) {
       auto Compactor = std::make_unique<StreamingCompactor>(
           Image.FunctionCount, compactorConfig());
-      if (!Compactor->restoreState(Image.Snapshot))
+      if (!Compactor->restoreState(Snapshot))
         return;
       State.Compactor = std::move(Compactor);
     }
-    State.FunctionCount = Image.FunctionCount;
-    State.SawHello = Image.SawHello;
-    State.SawBye = Image.SawBye;
-    State.NextSeq = Image.NextSeq;
-    State.FramesApplied = Image.FramesApplied;
-    State.EventsApplied = Image.EventsApplied;
-    State.EventsDropped = Image.EventsDropped;
-    State.EventsDeclared = Image.EventsDeclared;
-    State.FramesInvalid = Image.FramesInvalid;
-    State.SeqGaps = Image.SeqGaps;
-    State.CheckpointsWritten = Image.CheckpointsWritten;
+    State.Durable = Image;
     State.Resumed = true;
     State.Sequencer.Expected = Image.NextSeq;
     State.Sequencer.ResumedBase = true;
@@ -454,7 +438,7 @@ struct IngestServer::Impl {
     WireFrame Frame;
     std::vector<std::pair<uint64_t, std::vector<uint8_t>>> Ready;
     while (Decoder.next(Frame)) {
-      ProducerState *State = producer(Frame.ProducerId);
+      ProducerState *State = producer(Frame.Stream);
       Ready.clear();
       std::lock_guard<std::mutex> Lock(State->SeqMutex);
       State->Sequencer.push(Frame.Sequence, std::move(Frame.Payload),
@@ -536,18 +520,19 @@ struct IngestServer::Impl {
   /// Applies one in-order frame to its producer. Dispatcher thread only.
   void applyItem(QueueItem &Item) {
     ProducerState &P = *Item.State;
-    if (Item.Seq > P.NextSeq)
-      P.SeqGaps += Item.Seq - P.NextSeq;
+    CheckpointImage &D = P.Durable;
+    if (Item.Seq > D.NextSeq)
+      D.SeqGaps += Item.Seq - D.NextSeq;
     // Below-cursor can only happen on a resumed run whose journal was
     // behind the sequencer flush; drop, the state already covers it.
-    if (Item.Seq < P.NextSeq)
+    if (Item.Seq < D.NextSeq)
       return;
-    P.NextSeq = Item.Seq + 1;
-    P.FramesApplied += 1;
+    D.NextSeq = Item.Seq + 1;
+    D.FramesApplied += 1;
     P.FramesSinceCheckpoint += 1;
 
     if (Item.Invalid) {
-      P.FramesInvalid += 1;
+      D.FramesInvalid += 1;
       return;
     }
     try {
@@ -556,22 +541,22 @@ struct IngestServer::Impl {
         if (P.Compactor) {
           // A second Hello (or one disagreeing with the resumed state)
           // cannot be honoured without discarding data; count it.
-          if (Item.Payload.FunctionCount != P.FunctionCount)
-            P.FramesInvalid += 1;
+          if (Item.Payload.FunctionCount != D.FunctionCount)
+            D.FramesInvalid += 1;
         } else if (Item.Payload.FunctionCount > MaxFunctionCount) {
-          P.FramesInvalid += 1;
+          D.FramesInvalid += 1;
         } else {
           P.Compactor = std::make_unique<StreamingCompactor>(
               Item.Payload.FunctionCount, compactorConfig());
-          P.FunctionCount = Item.Payload.FunctionCount;
-          P.SawHello = true;
+          D.FunctionCount = Item.Payload.FunctionCount;
+          D.SawHello = true;
         }
         break;
       case WireFrameKind::Events:
         if (!P.Compactor) {
           // The Hello fell into a gap; without the function universe the
           // events cannot be folded in. Count, don't crash.
-          P.EventsDropped += Item.Payload.Events.size();
+          D.EventsDropped += Item.Payload.Events.size();
           break;
         }
         for (const TraceEvent &E : Item.Payload.Events) {
@@ -579,39 +564,39 @@ struct IngestServer::Impl {
           // release); the wire is untrusted, so guard here and account.
           switch (E.EventKind) {
           case TraceEvent::Kind::Enter:
-            if (E.Id >= P.FunctionCount) {
-              P.EventsDropped += 1;
+            if (E.Id >= D.FunctionCount) {
+              D.EventsDropped += 1;
               continue;
             }
             P.Compactor->onEnter(E.Id);
             break;
           case TraceEvent::Kind::Block:
             if (P.Compactor->openFrames() == 0) {
-              P.EventsDropped += 1;
+              D.EventsDropped += 1;
               continue;
             }
             P.Compactor->onBlock(E.Id);
             break;
           case TraceEvent::Kind::Exit:
             if (P.Compactor->openFrames() == 0) {
-              P.EventsDropped += 1;
+              D.EventsDropped += 1;
               continue;
             }
             P.Compactor->onExit();
             break;
           }
-          P.EventsApplied += 1;
+          D.EventsApplied += 1;
         }
         break;
       case WireFrameKind::Bye:
-        P.EventsDeclared = Item.Payload.TotalEvents;
-        P.SawBye = true;
+        D.EventsDeclared = Item.Payload.TotalEvents;
+        D.SawBye = true;
         break;
       }
     } catch (const std::bad_alloc &) {
       // Allocation pressure while folding a frame in: the frame is lost
       // but the server is not.
-      P.FramesInvalid += 1;
+      D.FramesInvalid += 1;
     }
 
     maybeCheckpoint(P);
@@ -629,24 +614,9 @@ struct IngestServer::Impl {
     if (!P.JournalOpen)
       return;
     try {
-      CheckpointImage Image;
-      Image.ProducerId = P.Id;
-      Image.FunctionCount = P.FunctionCount;
-      Image.SawHello = P.SawHello;
-      Image.SawBye = P.SawBye;
-      Image.NextSeq = P.NextSeq;
-      Image.FramesApplied = P.FramesApplied;
-      Image.EventsApplied = P.EventsApplied;
-      Image.EventsDropped = P.EventsDropped;
-      Image.EventsDeclared = P.EventsDeclared;
-      Image.FramesInvalid = P.FramesInvalid;
-      Image.SeqGaps = P.SeqGaps;
-      Image.CheckpointsWritten = P.CheckpointsWritten;
-      if (P.Compactor) {
-        Image.Snapshot = P.Compactor->snapshotState();
-        Image.HasSnapshot = true;
-      }
-      IoError Err = P.Journal.append(encodeCheckpoint(Image));
+      IoError Err =
+          P.Journal.append(P.Durable.ProducerId, P.Durable.NextSeq,
+                           encodeCheckpoint(P.Durable, P.Compactor.get()));
       if (!Err.ok()) {
         P.CheckpointFailures += 1;
         return;
@@ -655,7 +625,7 @@ struct IngestServer::Impl {
       P.CheckpointFailures += 1;
       return;
     }
-    P.CheckpointsWritten += 1;
+    P.Durable.CheckpointsWritten += 1;
     ++TotalCheckpoints;
     if (CrashAfterCheckpoints != 0 &&
         TotalCheckpoints == CrashAfterCheckpoints && CrashHook) {
@@ -716,24 +686,24 @@ struct IngestServer::Impl {
 
   /// Drain is done: balance, compact and write out every producer.
   void finalizeProducer(ProducerState &P, ProducerReport &Report) {
-    Report.ProducerId = P.Id;
-    Report.FunctionCount = P.FunctionCount;
-    Report.SawHello = P.SawHello;
-    Report.SawBye = P.SawBye;
+    const CheckpointImage &D = P.Durable;
+    Report.ProducerId = D.ProducerId;
+    Report.FunctionCount = D.FunctionCount;
+    Report.SawHello = D.SawHello;
+    Report.SawBye = D.SawBye;
     Report.Resumed = P.Resumed;
-    Report.FramesApplied = P.FramesApplied;
-    Report.EventsApplied = P.EventsApplied;
-    Report.EventsDropped = P.EventsDropped;
-    Report.EventsDeclared = P.EventsDeclared;
-    Report.FramesInvalid = P.FramesInvalid;
+    Report.FramesApplied = D.FramesApplied;
+    Report.EventsApplied = D.EventsApplied;
+    Report.EventsDropped = D.EventsDropped;
+    Report.EventsDeclared = D.EventsDeclared;
+    Report.FramesInvalid = D.FramesInvalid;
     Report.FramesDuplicate = P.Sequencer.Duplicates;
     Report.FramesReordered = P.Sequencer.Reordered;
     Report.FramesReplayed = P.Sequencer.Replayed;
-    Report.SeqGaps = P.SeqGaps;
+    Report.SeqGaps = D.SeqGaps;
     Report.ShedFrames = P.ShedFrames;
     Report.ShedBytes = P.ShedBytes;
-    Report.CheckpointFailures = P.CheckpointFailures;
-    Report.Disconnected = !P.SawBye;
+    Report.Disconnected = !D.SawBye;
 
     if (P.Compactor) {
       // An unbalanced stream (disconnect, gap that ate exits) cannot be
@@ -752,10 +722,9 @@ struct IngestServer::Impl {
       // replaying the whole stream.
       if (P.JournalOpen && Config.CheckpointIntervalFrames != 0)
         writeCheckpoint(P);
-      Report.CheckpointsWritten = P.CheckpointsWritten;
 
       if (!Config.OutPrefix.empty()) {
-        Report.ArchivePath = archivePath(P.Id);
+        Report.ArchivePath = archivePath(D.ProducerId);
         try {
           TwppWpp Compacted = P.Compactor->takeCompacted(Config.Parallel);
           IoError Err;
@@ -768,9 +737,10 @@ struct IngestServer::Impl {
               Report.ArchivePath + " (out of memory)";
         }
       }
-    } else {
-      Report.CheckpointsWritten = P.CheckpointsWritten;
     }
+    // After the final checkpoint, so its outcome is reported too.
+    Report.CheckpointsWritten = D.CheckpointsWritten;
+    Report.CheckpointFailures = P.CheckpointFailures;
     P.Journal.close();
   }
 };

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Table-driven CRC-32 (the IEEE 802.3 polynomial, reflected form
-/// 0xEDB88320) used to frame journal checkpoint records so a torn or
-/// bit-flipped record is detected before its payload is trusted. Header
-/// only: the journal writer lives in twpp_wpp while tests and tools
-/// checksum byte vectors directly.
+/// 0xEDB88320) used by the framed-record codec (support/Frame.h) so a
+/// torn or bit-flipped journal record or wire frame is detected before
+/// its payload is trusted. Header only: tests and tools checksum byte
+/// vectors directly.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,8 +8,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Names.h"
-#include "support/ByteStream.h"
-#include "support/Crc32.h"
 #include "support/FaultInjection.h"
 
 #include <cerrno>
@@ -47,52 +45,36 @@ bool syncJournalStream(std::FILE *File) {
 
 } // namespace
 
-void twpp::appendJournalRecord(std::vector<uint8_t> &Out,
-                               const std::vector<uint8_t> &Payload) {
-  ByteWriter Writer;
-  Writer.writeFixed32(JournalMagic);
-  Writer.writeFixed32(JournalVersion);
-  Writer.writeFixed64(Payload.size());
-  Writer.writeFixed32(crc32(Payload.data(), Payload.size()));
-  std::vector<uint8_t> Header = Writer.take();
-  Out.insert(Out.end(), Header.begin(), Header.end());
-  Out.insert(Out.end(), Payload.begin(), Payload.end());
-}
-
 JournalScan twpp::scanJournal(const std::vector<uint8_t> &Bytes) {
   JournalScan Scan;
-  size_t Pos = 0;
-  size_t EndOfLastValid = 0;
-  while (Pos + JournalHeaderSize <= Bytes.size()) {
-    if (le32At(Bytes.data(), Pos) != JournalMagic ||
-        le32At(Bytes.data(), Pos + 4) != JournalVersion) {
-      // Not a record boundary: resynchronize byte-by-byte so one damaged
-      // region cannot hide every later record.
-      ++Pos;
-      continue;
-    }
-    uint64_t Length = le64At(Bytes.data(), Pos + 8);
-    uint32_t Crc = le32At(Bytes.data(), Pos + 16);
-    if (Length > Bytes.size() - Pos - JournalHeaderSize) {
-      // Torn tail (the common crash shape) or a corrupt length field;
-      // either way the payload is not all there. Keep scanning in case a
-      // complete record follows the damage.
-      ++Pos;
-      continue;
-    }
-    const uint8_t *Payload = Bytes.data() + Pos + JournalHeaderSize;
-    if (crc32(Payload, static_cast<size_t>(Length)) != Crc) {
-      ++Scan.CorruptRecords;
-      ++Pos;
-      continue;
-    }
-    ++Scan.ValidRecords;
-    Scan.LastPayload.assign(Payload, Payload + Length);
-    Pos += JournalHeaderSize + static_cast<size_t>(Length);
-    EndOfLastValid = Pos;
+  frame::Decoder Decoder(JournalFormat, frame::MaxLength);
+  Decoder.feed(Bytes.data(), Bytes.size());
+  Decoder.finish();
+  frame::Frame Record;
+  uint64_t EndOfLastValid = 0;
+  while (Decoder.next(Record)) {
+    Scan.LastPayload = std::move(Record.Payload);
+    // Every consumed byte is either frame or resync, so their sum is the
+    // offset just past this record.
+    EndOfLastValid = Decoder.stats().FrameBytes + Decoder.stats().ResyncBytes;
   }
+  Scan.ValidRecords = Decoder.stats().Frames;
+  Scan.CorruptRecords = Decoder.stats().CorruptFrames;
   Scan.TornBytes = Bytes.size() - EndOfLastValid;
   return Scan;
+}
+
+IoError twpp::readJournal(const std::string &Path, JournalScan &Scan) {
+  std::vector<uint8_t> Bytes;
+  IoError Read = readFileBytes(Path, Bytes);
+  if (!Read)
+    return Read;
+  Scan = scanJournal(Bytes);
+  if (Scan.CorruptRecords > 0 || Scan.TornBytes > 0)
+    obs::metrics()
+        .counter(obs::names::JournalRecordsDropped)
+        .add(Scan.CorruptRecords + (Scan.TornBytes > 0 ? 1 : 0));
+  return IoError::success();
 }
 
 JournalWriter::~JournalWriter() { close(); }
@@ -125,13 +107,17 @@ IoError JournalWriter::open(const std::string &Path, bool Append) {
   return IoError::success();
 }
 
-IoError JournalWriter::append(const std::vector<uint8_t> &Payload) {
+IoError JournalWriter::append(uint32_t Stream, uint64_t Sequence,
+                              const std::vector<uint8_t> &Payload) {
   if (!File)
     return journalFail(IoStatus::OpenFailed, "journal not open", 0);
+  if (Payload.size() > frame::MaxLength)
+    return journalFail(IoStatus::WriteFailed,
+                       JournalPath + " (checkpoint exceeds 4 GiB)", 0);
   if (fault::shouldFailIo("journal"))
     return journalInjected(IoStatus::WriteFailed, JournalPath);
   std::vector<uint8_t> Frame;
-  appendJournalRecord(Frame, Payload);
+  frame::append(Frame, JournalFormat, Stream, Sequence, ByteSpan(Payload));
   size_t Written = std::fwrite(Frame.data(), 1, Frame.size(), File);
   if (Written != Frame.size())
     return journalFail(IoStatus::ShortWrite, JournalPath);

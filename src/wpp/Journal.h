@@ -6,20 +6,19 @@
 ///
 /// \file
 /// The on-disk journal (*.twppj) behind crash-safe streaming compaction.
-/// A journal is an append-only sequence of checkpoint records, each
-/// framed as
-///
-///   fixed32 magic ("TWPJ")  fixed32 version
-///   fixed64 payload length  fixed32 crc32(payload)
-///   payload bytes
+/// A journal is an append-only sequence of checkpoint records, each one
+/// support/Frame.h record under the "TWPJ" magic, version 2: the record's
+/// stream is the producer id (0 outside ingestion) and its sequence the
+/// stream position the checkpoint covers (events consumed by the
+/// compactor, or the next expected frame for ingestion). Version 1
+/// journals used a different header and do not resume.
 ///
 /// The writer appends a record per checkpoint and fsyncs before
 /// returning, so a crash at any instant leaves at most one torn record at
-/// the tail. The scanner walks the framing, validates each CRC,
-/// resynchronizes on the magic after damage, and surfaces the *last*
-/// valid payload — which is all recovery needs (each checkpoint is a
-/// complete snapshot, not a delta). docs/DURABILITY.md documents the
-/// format and its guarantees.
+/// the tail. The scanner runs the shared frame decoder over the file and
+/// surfaces the *last* valid payload — which is all recovery needs (each
+/// checkpoint is a complete snapshot, not a delta). docs/DURABILITY.md
+/// documents the format and its guarantees.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +26,7 @@
 #define TWPP_WPP_JOURNAL_H
 
 #include "support/FileIO.h"
+#include "support/Frame.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -37,14 +37,8 @@ namespace twpp {
 
 /// "TWPJ", little-endian, as the archive magic is "TWPP".
 inline constexpr uint32_t JournalMagic = 0x4A505754;
-inline constexpr uint32_t JournalVersion = 1;
-/// magic + version + payload length + crc.
-inline constexpr size_t JournalHeaderSize = 4 + 4 + 8 + 4;
-
-/// Appends one framed record holding \p Payload to \p Out (in-memory
-/// form, shared by the writer and tests that build damaged journals).
-void appendJournalRecord(std::vector<uint8_t> &Out,
-                         const std::vector<uint8_t> &Payload);
+inline constexpr uint32_t JournalVersion = 2;
+inline constexpr frame::Format JournalFormat{JournalMagic, JournalVersion};
 
 /// What scanJournal found.
 struct JournalScan {
@@ -63,6 +57,11 @@ struct JournalScan {
 /// never makes it fail, it only reduces ValidRecords (possibly to zero).
 JournalScan scanJournal(const std::vector<uint8_t> &Bytes);
 
+/// Reads and scans the journal at \p Path — the one entry point both
+/// resume paths share. Damaged records (CRC failures, a torn tail) are
+/// counted into journal.records_dropped. \returns the read error, if any.
+IoError readJournal(const std::string &Path, JournalScan &Scan);
+
 /// Append-mode journal file writer. Every append() is flushed and
 /// fsynced before it returns, so an acknowledged checkpoint survives a
 /// crash. All IO consults the fault seam under the "journal" operation.
@@ -79,8 +78,11 @@ public:
   /// resume path); otherwise the file is truncated.
   IoError open(const std::string &Path, bool Append);
 
-  /// Appends one framed record and makes it durable.
-  IoError append(const std::vector<uint8_t> &Payload);
+  /// Appends one record for \p Stream at stream position \p Sequence and
+  /// makes it durable. A payload the 32-bit length field cannot describe
+  /// is refused with WriteFailed.
+  IoError append(uint32_t Stream, uint64_t Sequence,
+                 const std::vector<uint8_t> &Payload);
 
   void close();
   bool isOpen() const { return File != nullptr; }

@@ -174,7 +174,7 @@ struct StreamingCompactor::Impl {
     IoError Result;
     try {
       fault::maybeFailAlloc();
-      Result = Journal.append(snapshot());
+      Result = Journal.append(/*Stream=*/0, EventCount, snapshot());
     } catch (const std::bad_alloc &) {
       Result.Status = IoStatus::WriteFailed;
       Result.Detail = Journal.path() + " (checkpoint allocation failed)";
@@ -444,15 +444,10 @@ StreamingCompactor::resumeFromJournal(const std::string &JournalPath,
       *Error = std::move(Message);
     return nullptr;
   };
-  std::vector<uint8_t> Bytes;
-  IoError Read = readFileBytes(JournalPath, Bytes);
+  JournalScan Scan;
+  IoError Read = readJournal(JournalPath, Scan);
   if (!Read)
     return Fail("cannot read journal: " + Read.message());
-  JournalScan Scan = scanJournal(Bytes);
-  if (Scan.CorruptRecords > 0 || Scan.TornBytes > 0)
-    obs::metrics()
-        .counter(obs::names::JournalRecordsDropped)
-        .add(Scan.CorruptRecords + (Scan.TornBytes > 0 ? 1 : 0));
   if (Scan.ValidRecords == 0)
     return Fail("journal holds no valid checkpoint: " + JournalPath);
   ByteReader Peek(Scan.LastPayload);

@@ -14,9 +14,12 @@
 
 #include "ingest/Ingest.h"
 #include "ingest/Wire.h"
+#include "obs/Metrics.h"
+#include "obs/Names.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
 #include "wpp/Archive.h"
+#include "wpp/Journal.h"
 #include "wpp/Twpp.h"
 
 #include "gtest/gtest.h"
@@ -310,6 +313,40 @@ TEST(IngestServerTest, IdleConnectionTimesOutInsteadOfHangingForever) {
   EXPECT_LT(ElapsedMs, 350);
 }
 
+/// Runs \p Traces into a journaled server that "crashes" after its
+/// \p Checkpoints-th checkpoint. The in-process hook just returns, which
+/// stops ingestion without finalizing — the same state a SIGKILL leaves
+/// on disk (journals flushed, no archives).
+void runUntilCrash(const IngestConfig &Config,
+                   const std::vector<RawTrace> &Traces,
+                   const ProducerOptions &Options, uint64_t Checkpoints) {
+  IngestServer Server(Config);
+  Server.setCrashAfterCheckpoints(Checkpoints, [] {});
+  std::vector<std::thread> Producers;
+  std::vector<int> Fds;
+  for (size_t I = 0; I < Traces.size(); ++I) {
+    int Sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
+    Server.addConnection(Sv[0]);
+    Fds.push_back(Sv[1]);
+  }
+  for (size_t I = 0; I < Traces.size(); ++I) {
+    ProducerOptions PO = Options;
+    PO.ProducerId = static_cast<uint32_t>(I);
+    int Fd = Fds[I];
+    const RawTrace *Trace = &Traces[I];
+    Producers.emplace_back([Fd, Trace, PO] {
+      sendTraceOverFd(Fd, *Trace, PO); // EPIPE after the crash is fine
+      ::close(Fd);
+    });
+  }
+  IngestReport Report = Server.run();
+  for (std::thread &T : Producers)
+    T.join();
+  EXPECT_TRUE(Report.Aborted);
+  EXPECT_FALSE(Report.clean());
+}
+
 TEST(IngestServerTest, CrashBetweenCheckpointsResumesByteIdentical) {
   std::vector<RawTrace> Traces = sampleTraces(2);
 
@@ -325,36 +362,8 @@ TEST(IngestServerTest, CrashBetweenCheckpointsResumesByteIdentical) {
   ProducerOptions Small;
   Small.BatchEvents = 64;
 
-  // Run 1: "crash" after the 3rd checkpoint. The in-process hook just
-  // returns, which stops ingestion without finalizing — the same state
-  // a SIGKILL leaves on disk (journals flushed, no archives).
-  {
-    IngestServer Server(Config);
-    Server.setCrashAfterCheckpoints(3, [] {});
-    std::vector<std::thread> Producers;
-    std::vector<int> Fds;
-    for (size_t I = 0; I < Traces.size(); ++I) {
-      int Sv[2];
-      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
-      Server.addConnection(Sv[0]);
-      Fds.push_back(Sv[1]);
-    }
-    for (size_t I = 0; I < Traces.size(); ++I) {
-      ProducerOptions PO = Small;
-      PO.ProducerId = static_cast<uint32_t>(I);
-      int Fd = Fds[I];
-      const RawTrace *Trace = &Traces[I];
-      Producers.emplace_back([Fd, Trace, PO] {
-        sendTraceOverFd(Fd, *Trace, PO); // EPIPE after the crash is fine
-        ::close(Fd);
-      });
-    }
-    IngestReport Report = Server.run();
-    for (std::thread &T : Producers)
-      T.join();
-    EXPECT_TRUE(Report.Aborted);
-    EXPECT_FALSE(Report.clean());
-  }
+  // Run 1: "crash" after the 3rd checkpoint.
+  runUntilCrash(Config, Traces, Small, 3);
 
   // Run 2: resume from the journals; producers re-send from scratch.
   {
@@ -373,6 +382,61 @@ TEST(IngestServerTest, CrashBetweenCheckpointsResumesByteIdentical) {
     // so the re-sent prefix must have been recognized and skipped.
     EXPECT_GT(Replayed, 0u);
   }
+}
+
+TEST(IngestServerTest, TornJournalRecordIsCountedAndResumeStaysByteIdentical) {
+  // A crash mid-append leaves the last record torn. Resume must fall back
+  // to the record before it, count the torn one as dropped — the same
+  // journal.records_dropped accounting the streaming compactor's resume
+  // does — and still finish byte-identical to the golden run.
+  std::vector<RawTrace> Traces = sampleTraces(2);
+  IngestConfig Config;
+  Config.OutPrefix = uniqueTempPath("tornrun");
+  Config.JournalPrefix = uniqueTempPath("tornrun");
+  Config.CheckpointIntervalFrames = 4;
+  ProducerOptions Small;
+  Small.BatchEvents = 64;
+  runUntilCrash(Config, Traces, Small, 4);
+
+  // Tear the last record of the journal holding the most checkpoints (at
+  // least two of the four), so a valid record survives the tear.
+  std::string Torn;
+  std::vector<uint8_t> TornBytes;
+  size_t MostRecords = 0;
+  for (size_t I = 0; I < Traces.size(); ++I) {
+    std::string Path = Config.JournalPrefix + ".p" + std::to_string(I) +
+                       ".twppj";
+    std::vector<uint8_t> Bytes;
+    if (!readFileBytes(Path, Bytes).ok())
+      continue;
+    size_t Records = scanJournal(Bytes).ValidRecords;
+    if (Records > MostRecords) {
+      MostRecords = Records;
+      Torn = Path;
+      TornBytes = std::move(Bytes);
+    }
+  }
+  ASSERT_GE(MostRecords, 2u);
+  TornBytes.resize(TornBytes.size() - 3);
+  ASSERT_TRUE(writeFileBytes(Torn, TornBytes).ok());
+
+  bool WasEnabled = obs::enabled();
+  obs::setMetricsEnabled(true);
+  obs::Counter &Dropped =
+      obs::metrics().counter(obs::names::JournalRecordsDropped);
+  uint64_t DroppedBefore = Dropped.value();
+  IngestConfig ResumeConfig = Config;
+  ResumeConfig.Resume = true;
+  IngestReport Report = runLoopbackIngest(ResumeConfig, Traces, Small);
+  uint64_t DroppedAfter = Dropped.value();
+  obs::setMetricsEnabled(WasEnabled);
+
+  ASSERT_TRUE(Report.clean()) << Report.FatalError;
+  for (size_t I = 0; I < Traces.size(); ++I)
+    EXPECT_EQ(readAll(Report.Producers[I].ArchivePath),
+              goldenArchiveBytes(Traces[I]))
+        << "producer " << I;
+  EXPECT_GE(DroppedAfter - DroppedBefore, 1u);
 }
 
 #endif // !defined(_WIN32)

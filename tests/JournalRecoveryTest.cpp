@@ -17,8 +17,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/Memory.h"
+#include "support/ByteStream.h"
+#include "support/Crc32.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
+#include "support/Frame.h"
 #include "verify/ArchiveChecks.h"
 #include "wpp/Archive.h"
 #include "wpp/Journal.h"
@@ -50,44 +53,41 @@ std::vector<uint8_t> referenceArchive(const RawTrace &Trace, size_t Events) {
   return encodeArchive(Sink.takeCompacted());
 }
 
-uint64_t journalLe64(const std::vector<uint8_t> &Bytes, size_t Pos) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-  return V;
-}
-
-/// End offsets of the well-formed records of a journal we wrote ourselves.
-std::vector<size_t> recordEnds(const std::vector<uint8_t> &Journal) {
+/// The records of a journal, read through the shared frame decoder:
+/// each record's end offset and its sequence (the snapshot's event count).
+struct JournalRecords {
   std::vector<size_t> Ends;
-  size_t Pos = 0;
-  while (Pos + JournalHeaderSize <= Journal.size()) {
-    uint64_t Length = journalLe64(Journal, Pos + 8);
-    Pos += JournalHeaderSize + static_cast<size_t>(Length);
-    EXPECT_LE(Pos, Journal.size()) << "journal self-test: truncated record";
-    Ends.push_back(Pos);
+  std::vector<uint64_t> EventCounts;
+};
+
+JournalRecords readRecords(const std::vector<uint8_t> &Journal) {
+  JournalRecords Out;
+  frame::Decoder Decoder(JournalFormat, frame::MaxLength);
+  Decoder.feed(Journal.data(), Journal.size());
+  Decoder.finish();
+  frame::Frame Record;
+  while (Decoder.next(Record)) {
+    Out.Ends.push_back(Decoder.stats().FrameBytes +
+                       Decoder.stats().ResyncBytes);
+    Out.EventCounts.push_back(Record.Sequence);
   }
-  return Ends;
+  EXPECT_EQ(Decoder.stats().ResyncBytes, 0u)
+      << "journal self-test: damaged record";
+  return Out;
 }
 
-/// The snapshot EventCount of every record of a journal we wrote
-/// ourselves: a fixed64 at payload offset 4, after the function count.
-std::vector<uint64_t> checkpointEventCounts(const std::vector<uint8_t> &Journal) {
-  std::vector<uint64_t> Counts;
-  size_t Start = 0;
-  for (size_t End : recordEnds(Journal)) {
-    Counts.push_back(journalLe64(Journal, Start + JournalHeaderSize + 4));
-    Start = End;
-  }
-  return Counts;
+/// Appends one journal record holding \p Payload, as the writer frames it.
+void appendRecord(std::vector<uint8_t> &Journal,
+                  const std::vector<uint8_t> &Payload) {
+  frame::append(Journal, JournalFormat, 0, 0, ByteSpan(Payload));
 }
 
 TEST(JournalFraming, RoundTripAndScan) {
   std::vector<uint8_t> Journal;
   std::vector<uint8_t> A = {1, 2, 3};
   std::vector<uint8_t> B = {9, 8, 7, 6, 5};
-  appendJournalRecord(Journal, A);
-  appendJournalRecord(Journal, B);
+  appendRecord(Journal, A);
+  appendRecord(Journal, B);
   JournalScan Scan = scanJournal(Journal);
   EXPECT_EQ(Scan.ValidRecords, 2u);
   EXPECT_EQ(Scan.CorruptRecords, 0u);
@@ -99,12 +99,12 @@ TEST(JournalFraming, TornTailYieldsLastValidRecord) {
   std::vector<uint8_t> Journal;
   std::vector<uint8_t> A = {1, 2, 3};
   std::vector<uint8_t> B = {4, 5, 6, 7};
-  appendJournalRecord(Journal, A);
+  appendRecord(Journal, A);
   size_t AEnd = Journal.size();
-  appendJournalRecord(Journal, B);
+  appendRecord(Journal, B);
   // Tear record B anywhere: header-only, mid-payload, one byte short.
-  for (size_t Cut : {AEnd + 1, AEnd + JournalHeaderSize,
-                     AEnd + JournalHeaderSize + 2, Journal.size() - 1}) {
+  for (size_t Cut : {AEnd + 1, AEnd + frame::HeaderSize,
+                     AEnd + frame::HeaderSize + 2, Journal.size() - 1}) {
     std::vector<uint8_t> Torn(Journal.begin(),
                               Journal.begin() + static_cast<long>(Cut));
     JournalScan Scan = scanJournal(Torn);
@@ -118,11 +118,11 @@ TEST(JournalFraming, CorruptCrcSkipsRecord) {
   std::vector<uint8_t> Journal;
   std::vector<uint8_t> A = {1, 2, 3};
   std::vector<uint8_t> B = {4, 5, 6};
-  appendJournalRecord(Journal, A);
+  appendRecord(Journal, A);
   size_t AEnd = Journal.size();
-  appendJournalRecord(Journal, B);
+  appendRecord(Journal, B);
   std::vector<uint8_t> Damaged = Journal;
-  Damaged[AEnd + JournalHeaderSize] ^= 0xFF; // flip a payload byte of B
+  Damaged[AEnd + frame::HeaderSize] ^= 0xFF; // flip a payload byte of B
   JournalScan Scan = scanJournal(Damaged);
   EXPECT_EQ(Scan.ValidRecords, 1u);
   EXPECT_GE(Scan.CorruptRecords, 1u);
@@ -132,7 +132,7 @@ TEST(JournalFraming, CorruptCrcSkipsRecord) {
 TEST(JournalFraming, ResynchronizesPastGarbage) {
   std::vector<uint8_t> Journal(37, 0xAB); // leading garbage
   std::vector<uint8_t> A = {42, 43};
-  appendJournalRecord(Journal, A);
+  appendRecord(Journal, A);
   JournalScan Scan = scanJournal(Journal);
   EXPECT_EQ(Scan.ValidRecords, 1u);
   EXPECT_EQ(Scan.LastPayload, A);
@@ -148,13 +148,13 @@ TEST(JournalFraming, ResyncAliasingMagicInsideCorruptedPayload) {
   // record, and the real successor record still scans.
   std::vector<uint8_t> Inner;
   std::vector<uint8_t> InnerPayload = {77, 78, 79};
-  appendJournalRecord(Inner, InnerPayload);
+  appendRecord(Inner, InnerPayload);
 
   std::vector<uint8_t> Journal;
-  appendJournalRecord(Journal, Inner); // outer record wrapping Inner
+  appendRecord(Journal, Inner); // outer record wrapping Inner
   size_t OuterEnd = Journal.size();
   std::vector<uint8_t> B = {1, 2, 3, 4};
-  appendJournalRecord(Journal, B);
+  appendRecord(Journal, B);
 
   // Intact: the aliased magic inside the outer payload is invisible.
   JournalScan Clean = scanJournal(Journal);
@@ -192,11 +192,11 @@ TEST(JournalFraming, RecordStraddlingReadBufferEdgeScansWhole) {
   std::vector<uint8_t> A = {10, 11, 12, 13, 14};
   std::vector<uint8_t> B = {20, 21};
   std::vector<uint8_t> C(300, 0x5A); // big enough to dwarf its header
-  appendJournalRecord(Journal, A);
+  appendRecord(Journal, A);
   size_t AEnd = Journal.size();
-  appendJournalRecord(Journal, B);
+  appendRecord(Journal, B);
   size_t BEnd = Journal.size();
-  appendJournalRecord(Journal, C);
+  appendRecord(Journal, C);
 
   for (size_t Cut = 0; Cut <= Journal.size(); ++Cut) {
     std::vector<uint8_t> Prefix(Journal.begin(),
@@ -293,7 +293,7 @@ TEST(JournalRecovery, CrashAtEveryEventIndex) {
     fault::ScopedFaultSuspend Shield;
     ASSERT_TRUE(readFileBytes(JournalPath, Journal).ok());
   }
-  std::vector<size_t> Ends = recordEnds(Journal);
+  std::vector<size_t> Ends = readRecords(Journal).Ends;
 
   // Kill after every checkpointed event: the journal prefix ending at
   // record k is exactly what a crash right after event k+1's checkpoint
@@ -519,7 +519,7 @@ TEST(JournalRecovery, CheckpointCadenceIsExact) {
     }
     std::vector<uint8_t> Journal;
     ASSERT_TRUE(readFileBytes(JournalPath, Journal).ok());
-    std::vector<uint64_t> Counts = checkpointEventCounts(Journal);
+    std::vector<uint64_t> Counts = readRecords(Journal).EventCounts;
     ASSERT_EQ(Counts.size(), Events / K);
     for (size_t R = 0; R < Counts.size(); ++R)
       EXPECT_EQ(Counts[R], (R + 1) * K) << "record " << R;
@@ -542,7 +542,7 @@ TEST(JournalRecovery, CheckpointCadenceIsExact) {
     replayEvents(std::span(Trace.Events).subspan(Recovered), *Resumed);
     Resumed.reset();
     ASSERT_TRUE(readFileBytes(JournalPath, Journal).ok());
-    Counts = checkpointEventCounts(Journal);
+    Counts = readRecords(Journal).EventCounts;
     ASSERT_EQ(Counts.size(), Events / K);
     for (size_t R = 0; R < Counts.size(); ++R)
       EXPECT_EQ(Counts[R], (R + 1) * K) << "record " << R;
@@ -612,6 +612,38 @@ TEST(JournalRecovery, ResumeFromMissingOrEmptyJournalFails) {
             nullptr);
   EXPECT_FALSE(Error.empty());
   std::remove(EmptyPath.c_str());
+}
+
+TEST(JournalRecovery, VersionOneJournalDoesNotResume) {
+  // Version 1 framed records as fixed32 magic, fixed32 version, fixed64
+  // length, crc32(payload). A journal written that way holds a perfectly
+  // good snapshot, but its records are not v2 frames: resume must say so
+  // instead of guessing (the run is redone from scratch).
+  RawTrace Trace = fixtures::randomTrace(13, 4, 120);
+  StreamingCompactor Source(Trace.FunctionCount);
+  replayEvents({Trace.Events.data(), Trace.Events.size() / 2}, Source);
+  std::vector<uint8_t> Snapshot = Source.snapshotState();
+  ByteWriter V1;
+  V1.writeFixed32(JournalMagic);
+  V1.writeFixed32(1);
+  V1.writeFixed64(Snapshot.size());
+  V1.writeFixed32(crc32(Snapshot.data(), Snapshot.size()));
+  V1.writeBytes(Snapshot.data(), Snapshot.size());
+
+  std::string Path = uniqueTempPath("v1.twppj");
+  {
+    fault::ScopedFaultSuspend Shield;
+    ASSERT_TRUE(writeFileBytes(Path, V1.bytes()).ok());
+  }
+  std::string Error;
+  EXPECT_EQ(StreamingCompactor::resumeFromJournal(Path, StreamingConfig(),
+                                                  &Error),
+            nullptr);
+  if (fault::activeFaultSpec().empty())
+    EXPECT_EQ(Error, "journal holds no valid checkpoint: " + Path);
+  else
+    EXPECT_FALSE(Error.empty());
+  std::remove(Path.c_str());
 }
 
 } // namespace
