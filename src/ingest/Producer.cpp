@@ -76,30 +76,30 @@ StagedFrame stageFrame(uint32_t ProducerId, uint64_t Sequence,
   StagedFrame Staged;
   appendWireFrame(Staged.Bytes, ProducerId, Sequence, Payload);
 
-  if (fault::shouldFaultWire("corrupt")) {
+  if (fault::shouldFaultWire(ProducerId, "corrupt")) {
     // Flip a byte in the middle of the frame (payload when there is one,
     // header otherwise) so the CRC — or the magic scan — must catch it.
     Staged.Bytes[Staged.Bytes.size() / 2] ^= 0xFF;
     ++Stats.Corrupted;
   }
-  if (fault::shouldFaultWire("truncate")) {
+  if (fault::shouldFaultWire(ProducerId, "truncate")) {
     // Keep a strict prefix: the header survives but the payload is torn,
     // the shape a died-mid-send producer leaves behind.
     Staged.Bytes.resize(Staged.Bytes.size() / 2);
     ++Stats.Truncated;
   }
-  if (fault::shouldFaultWire("duplicate")) {
+  if (fault::shouldFaultWire(ProducerId, "duplicate")) {
     size_t Len = Staged.Bytes.size();
     Staged.Bytes.reserve(Len * 2);
     Staged.Bytes.insert(Staged.Bytes.end(), Staged.Bytes.begin(),
                         Staged.Bytes.begin() + static_cast<long>(Len));
     ++Stats.Duplicated;
   }
-  if (fault::shouldFaultWire("reorder")) {
+  if (fault::shouldFaultWire(ProducerId, "reorder")) {
     Staged.Reorder = true;
     ++Stats.Reordered;
   }
-  if (fault::shouldFaultWire("stall")) {
+  if (fault::shouldFaultWire(ProducerId, "stall")) {
     std::this_thread::sleep_for(std::chrono::milliseconds(StallMs));
     ++Stats.Stalls;
   }

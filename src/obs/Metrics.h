@@ -15,11 +15,17 @@
 /// other library yet is instrumented, so the primitives must not force a
 /// link dependency. Only the exporters (obs/Export.h) live in twpp_obs.
 ///
-/// Instrumentation sites cache handles so the per-event cost is one branch
-/// plus one relaxed fetch_add:
+/// Instrumentation sites cache handles in function-local statics:
 ///
 ///   static obs::Counter &Calls = obs::metrics().counter("partition.calls");
 ///   Calls.add();
+///
+/// That is one branch plus one relaxed fetch_add per site, fine per call
+/// or per frame. Per-event hot loops (the streaming compactor) instead
+/// keep pending counts and samples in plain fields and publish them at a
+/// fixed cadence with add(n) and Histogram::recordBatch, which keeps the
+/// partition layer's telemetry tax within noise of 1x
+/// (docs/OBSERVABILITY.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,13 +128,22 @@ public:
   void record(uint64_t Sample) {
     if (!enabled())
       return;
-    size_t B = std::upper_bound(Bounds.begin(), Bounds.end(), Sample - 1) -
-               Bounds.begin();
-    if (Sample == 0)
-      B = 0;
-    Buckets[B].fetch_add(1, std::memory_order_relaxed);
+    Buckets[bucketOf(Sample)].fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> Lock(M);
     Samples.add(static_cast<double>(Sample));
+  }
+
+  /// Records \p Batch in order under one lock. With a single recorder the
+  /// buckets and stats (P² quantile estimates included) are exactly what
+  /// one record() per sample gives.
+  void recordBatch(std::span<const uint64_t> Batch) {
+    if (!enabled() || Batch.empty())
+      return;
+    std::lock_guard<std::mutex> Lock(M);
+    for (uint64_t Sample : Batch) {
+      Buckets[bucketOf(Sample)].fetch_add(1, std::memory_order_relaxed);
+      Samples.add(static_cast<double>(Sample));
+    }
   }
 
   const std::vector<uint64_t> &bounds() const { return Bounds; }
@@ -152,6 +168,13 @@ public:
   }
 
 private:
+  size_t bucketOf(uint64_t Sample) const {
+    if (Sample == 0)
+      return 0;
+    return std::upper_bound(Bounds.begin(), Bounds.end(), Sample - 1) -
+           Bounds.begin();
+  }
+
   std::vector<uint64_t> Bounds;
   std::unique_ptr<std::atomic<uint64_t>[]> Buckets;
   mutable std::mutex M;

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <new>
+#include <unordered_map>
 
 using namespace twpp;
 using namespace twpp::fault;
@@ -58,13 +59,31 @@ bool parseDouble(const std::string &Text, double &Out) {
   return End && *End == '\0' && Out >= 0 && Out <= 1;
 }
 
-/// The live rules plus their hit counters and per-rule PRNGs.
+/// Seed of stream \p Stream's PRNG under a rule seeded \p Seed. Stream 0
+/// keeps the rule's own seed, so a single producer sees the sequence it
+/// always did; other streams are decorrelated by one SplitMix64 step.
+uint64_t streamSeed(uint64_t Seed, uint32_t Stream) {
+  return Stream == 0 ? Seed : Seed ^ Rng(Stream).next();
+}
+
+/// The live rules plus their hit counters and PRNGs.
 struct InjectorState {
-  struct ArmedRule {
-    FaultRule Rule;
+  struct Cursor {
     uint64_t Hits = 0;
     Rng Prng;
-    ArmedRule(FaultRule R) : Rule(R), Prng(R.Seed) {}
+  };
+  struct ArmedRule {
+    FaultRule Rule;
+    /// One hit counter and PRNG per stream. Wire rules key them by the
+    /// producer's stream id, so concurrent producers cannot shift each
+    /// other's fault sequence; io and alloc rules use stream 0.
+    std::unordered_map<uint32_t, Cursor> Streams;
+    ArmedRule(FaultRule R) : Rule(R) {}
+    Cursor &cursor(uint32_t Stream) {
+      return Streams
+          .try_emplace(Stream, Cursor{0, Rng(streamSeed(Rule.Seed, Stream))})
+          .first->second;
+    }
   };
   std::string Spec;
   std::vector<ArmedRule> Rules;
@@ -110,8 +129,9 @@ std::atomic<uint64_t> &injectedCounter() {
 
 thread_local int SuspendDepth = 0;
 
-/// One hit against every matching armed rule; true when any fires.
-bool hit(FaultRule::Kind Kind, const char *Op) {
+/// One hit of \p Stream against every matching armed rule; true when any
+/// fires.
+bool hit(FaultRule::Kind Kind, uint32_t Stream, const char *Op) {
   if (!armedFlag().load(std::memory_order_relaxed) || SuspendDepth > 0)
     return false;
   std::lock_guard<std::mutex> Lock(stateMutex());
@@ -122,12 +142,13 @@ bool hit(FaultRule::Kind Kind, const char *Op) {
       continue;
     if (Kind != FaultRule::Kind::Alloc && R.Op != "*" && R.Op != Op)
       continue;
-    ++Armed.Hits;
-    if (R.Nth != 0 && Armed.Hits == R.Nth)
+    InjectorState::Cursor &C = Armed.cursor(Stream);
+    ++C.Hits;
+    if (R.Nth != 0 && C.Hits == R.Nth)
       Fire = true;
-    if (R.Every != 0 && Armed.Hits % R.Every == 0)
+    if (R.Every != 0 && C.Hits % R.Every == 0)
       Fire = true;
-    if (R.P > 0 && Armed.Prng.nextBool(R.P))
+    if (R.P > 0 && C.Prng.nextBool(R.P))
       Fire = true;
   }
   if (Fire) {
@@ -260,16 +281,16 @@ std::string fault::activeFaultSpec() {
 }
 
 bool fault::shouldFailIo(const char *Op) {
-  return hit(FaultRule::Kind::Io, Op);
+  return hit(FaultRule::Kind::Io, 0, Op);
 }
 
 void fault::maybeFailAlloc() {
-  if (hit(FaultRule::Kind::Alloc, "*"))
+  if (hit(FaultRule::Kind::Alloc, 0, "*"))
     throw std::bad_alloc();
 }
 
-bool fault::shouldFaultWire(const char *Op) {
-  return hit(FaultRule::Kind::Wire, Op);
+bool fault::shouldFaultWire(uint32_t Stream, const char *Op) {
+  return hit(FaultRule::Kind::Wire, Stream, Op);
 }
 
 uint64_t fault::injectedFaultCount() {

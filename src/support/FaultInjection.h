@@ -33,10 +33,10 @@
 /// maybeFailAlloc(), which the journal writer and the salvage tool catch
 /// and convert into their degraded/diagnostic paths. Wire faults drive
 /// the replay producer's frame mutations (src/ingest/Producer.h): a hit
-/// on shouldFaultWire("corrupt") makes the producer damage that frame on
-/// the wire, deterministically, so the ingestion frontend's resync and
-/// sequencing recovery paths are CI-sweepable. With no spec installed
-/// every hook is a single relaxed atomic load.
+/// on shouldFaultWire(Stream, "corrupt") makes the producer damage that
+/// frame on the wire, deterministically, so the ingestion frontend's
+/// resync and sequencing recovery paths are CI-sweepable. With no spec
+/// installed every hook is a single relaxed atomic load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,11 +91,15 @@ bool shouldFailIo(const char *Op);
 void maybeFailAlloc();
 
 /// True when a wire-level fault should be injected for \p Op
-/// ("corrupt", "truncate", "duplicate", "reorder", "stall") on this hit.
-/// Consulted by the replay producer per frame; the mutation itself lives
-/// with the caller. Bumps the io.faults_injected counter when it fires
-/// and is suppressed by ScopedFaultSuspend like every other hook.
-bool shouldFaultWire(const char *Op);
+/// ("corrupt", "truncate", "duplicate", "reorder", "stall") on this hit
+/// of producer stream \p Stream. Consulted by the replay producer per
+/// frame; the mutation itself lives with the caller. Hit counts and PRNGs
+/// are kept per (rule, stream), so each producer's fault sequence is
+/// reproducible however the producer threads interleave, and stream 0
+/// sees the sequence a lone producer always saw. Bumps the
+/// io.faults_injected counter when it fires and is suppressed by
+/// ScopedFaultSuspend like every other hook.
+bool shouldFaultWire(uint32_t Stream, const char *Op);
 
 /// Number of faults injected since process start (all rules).
 uint64_t injectedFaultCount();

@@ -38,9 +38,6 @@ public:
     for (auto It = Range.first; It != Range.second; ++It)
       if (Table.UniqueTraces[It->second] == Trace)
         return It->second;
-    static obs::Counter &UniqueTraces =
-        obs::metrics().counter(obs::names::PartitionUniqueTraces);
-    UniqueTraces.add();
     uint32_t Index = static_cast<uint32_t>(Table.UniqueTraces.size());
     Table.UniqueTraces.push_back(std::move(Trace));
     Table.UseCounts.push_back(0);
@@ -98,20 +95,65 @@ struct StreamingCompactor::Impl {
     return sizeof(Frame) + Blocks * sizeof(BlockId);
   }
 
-  /// Moves StateBytes by \p Delta (negative on release) and, when tracking
-  /// is on, mirrors the move into the global stream.state tag.
+  /// Telemetry not yet folded into the process-global metrics: the trace
+  /// length of every call exited since the last publish() (its size is
+  /// the call count, its sum the block-event count) and the unique traces
+  /// interned meanwhile. Collected only while metrics are on.
+  std::vector<uint64_t> PendingTraceLengths;
+  uint64_t PendingUniqueTraces = 0;
+  /// StateBytes as last mirrored into the global stream.state tag.
+  uint64_t Published = 0;
+
+  /// Moves StateBytes by \p Delta (negative on release). The global
+  /// stream.state mirror catches up at the next publish().
   void trackState(int64_t Delta) {
-    if (Delta == 0)
-      return;
     StateBytes += static_cast<uint64_t>(Delta);
-    if (!obs::memTrackingEnabled())
+  }
+
+  /// Moves the stream.state mirror from Published to \p Target bytes.
+  void mirrorState(uint64_t Target) {
+    if (Target == Published)
       return;
     static obs::MemAccount &Mirror =
         obs::memTracker().account(obs::memtags::StreamState);
-    if (Delta > 0)
-      Mirror.recordAlloc(static_cast<uint64_t>(Delta));
+    if (Target > Published)
+      Mirror.recordAlloc(Target - Published);
     else
-      Mirror.recordFree(static_cast<uint64_t>(-Delta));
+      Mirror.recordFree(Published - Target);
+    Published = Target;
+  }
+
+  /// Folds the pending telemetry into the process-global metrics and
+  /// brings the stream.state mirror and gauge up to StateBytes. Runs every
+  /// PublishInterval events and wherever the state changes wholesale, so
+  /// the per-event path touches no shared cache line.
+  void publish() {
+    if (!PendingTraceLengths.empty()) {
+      obs::MetricsRegistry &M = obs::metrics();
+      static obs::Counter &Calls = M.counter(obs::names::PartitionCalls);
+      static obs::Counter &BlockEvents =
+          M.counter(obs::names::PartitionBlockEvents);
+      static obs::Histogram &TraceLength =
+          M.histogram(obs::names::PartitionTraceLength,
+                      obs::names::powerOfTwoBounds(1u << 20));
+      uint64_t Blocks = 0;
+      for (uint64_t Length : PendingTraceLengths)
+        Blocks += Length;
+      Calls.add(PendingTraceLengths.size());
+      BlockEvents.add(Blocks);
+      TraceLength.recordBatch(PendingTraceLengths);
+      PendingTraceLengths.clear();
+    }
+    if (PendingUniqueTraces != 0) {
+      static obs::Counter &UniqueTraces =
+          obs::metrics().counter(obs::names::PartitionUniqueTraces);
+      UniqueTraces.add(PendingUniqueTraces);
+      PendingUniqueTraces = 0;
+    }
+    mirrorState(obs::memTrackingEnabled() ? StateBytes : 0);
+    static obs::Gauge &StateGauge =
+        obs::metrics().gauge(obs::names::StreamStateBytes);
+    StateGauge.set(static_cast<int64_t>(StateBytes));
   }
 
   explicit Impl(uint32_t FunctionCount) {
@@ -119,7 +161,11 @@ struct StreamingCompactor::Impl {
     Interners.resize(FunctionCount);
   }
 
-  ~Impl() { trackState(-static_cast<int64_t>(StateBytes)); }
+  /// Releases every mirrored byte, whether or not tracking is still on.
+  ~Impl() {
+    publish();
+    mirrorState(0);
+  }
 
   /// Back to an empty stream (after takePartitioned), keeping the
   /// journal, config and cumulative checkpoint/degrade counters.
@@ -129,7 +175,8 @@ struct StreamingCompactor::Impl {
     Interners.assign(FunctionCount, TraceInterner());
     Stack.clear();
     EventCount = 0;
-    trackState(-static_cast<int64_t>(StateBytes));
+    StateBytes = 0;
+    publish();
   }
 
   /// Serializes the complete state. Everything onEnter/onBlock/onExit
@@ -171,6 +218,7 @@ struct StreamingCompactor::Impl {
   /// better than losing the traced process.
   IoError writeCheckpoint() {
     obs::PhaseSpan Span("journal_checkpoint");
+    publish();
     IoError Result;
     try {
       fault::maybeFailAlloc();
@@ -183,8 +231,6 @@ struct StreamingCompactor::Impl {
     if (Result.ok()) {
       ++Checkpoints;
       M.counter(obs::names::JournalCheckpoints).add();
-      M.gauge(obs::names::StreamStateBytes)
-          .set(static_cast<int64_t>(StateBytes));
     } else {
       LastJournalError = Result;
       M.counter(obs::names::JournalCheckpointFailures).add();
@@ -193,7 +239,8 @@ struct StreamingCompactor::Impl {
   }
 
   /// The one per-event decision point: the memory budget first, then the
-  /// checkpoint cadence, so a checkpoint captures the degraded state.
+  /// checkpoint cadence, so a checkpoint captures the degraded state, then
+  /// the telemetry cadence.
   void afterEvent() {
     ++EventCount;
     if (Config.MemoryBudgetBytes != 0 && StateBytes > Config.MemoryBudgetBytes)
@@ -201,6 +248,8 @@ struct StreamingCompactor::Impl {
     if (Config.CheckpointInterval != 0 &&
         EventCount % Config.CheckpointInterval == 0 && Journal.isOpen())
       writeCheckpoint();
+    if (EventCount % PublishInterval == 0)
+      publish();
   }
 
   /// Budget enforcement: drop the oldest open frame's block detail (and
@@ -208,6 +257,7 @@ struct StreamingCompactor::Impl {
   /// invariants intact against the now-shorter trace) until back under
   /// budget or nothing is left to drop.
   void degradeOpenFrames() {
+    uint64_t DegradedBefore = Degraded;
     for (Frame &F : Stack) {
       if (F.Blocks.empty())
         continue;
@@ -220,8 +270,10 @@ struct StreamingCompactor::Impl {
       obs::traceInstant("stream_degraded", "frame",
                         static_cast<int64_t>(F.NodeIndex));
       if (StateBytes <= Config.MemoryBudgetBytes)
-        return;
+        break;
     }
+    if (Degraded != DegradedBefore)
+      publish();
   }
 };
 
@@ -273,18 +325,6 @@ void StreamingCompactor::onExit() {
   assert(!P->Stack.empty() && "exit event outside any call");
   Impl::Frame Top = std::move(P->Stack.back());
   P->Stack.pop_back();
-  if (obs::enabled()) {
-    obs::MetricsRegistry &M = obs::metrics();
-    static obs::Counter &Calls = M.counter(obs::names::PartitionCalls);
-    static obs::Counter &BlockEvents =
-        M.counter(obs::names::PartitionBlockEvents);
-    static obs::Histogram &TraceLength =
-        M.histogram(obs::names::PartitionTraceLength,
-                    obs::names::powerOfTwoBounds(1u << 20));
-    Calls.add();
-    BlockEvents.add(Top.Blocks.size());
-    TraceLength.record(Top.Blocks.size());
-  }
   DcgNode &Node = P->Wpp.Dcg.Nodes[Top.NodeIndex];
   FunctionTraceTable &Table = P->Wpp.Functions[Node.Function];
   ++Table.CallCount;
@@ -294,9 +334,14 @@ void StreamingCompactor::onExit() {
   Node.TraceIndex =
       P->Interners[Node.Function].intern(Table, std::move(Top.Blocks));
   ++Table.UseCounts[Node.TraceIndex];
+  bool NewTrace = Table.UniqueTraces.size() > UniqueBefore;
   P->trackState(-static_cast<int64_t>(Impl::openFrameBytes(TraceLen)));
-  if (Table.UniqueTraces.size() > UniqueBefore)
+  if (NewTrace)
     P->trackState(static_cast<int64_t>(uniqueTraceBytes(TraceLen)));
+  if (obs::enabled()) {
+    P->PendingTraceLengths.push_back(TraceLen);
+    P->PendingUniqueTraces += NewTrace;
+  }
   P->afterEvent();
 }
 
@@ -418,14 +463,14 @@ bool StreamingCompactor::restoreState(const std::vector<uint8_t> &Payload) {
   P->Degraded = Degraded;
   for (size_t F = 0; F < P->Wpp.Functions.size(); ++F)
     P->Interners[F].rebuild(P->Wpp.Functions[F]);
-  P->trackState(-static_cast<int64_t>(P->StateBytes));
   uint64_t Recomputed = 0;
   for (const FunctionTraceTable &Table : P->Wpp.Functions)
     for (const PathTrace &Trace : Table.UniqueTraces)
       Recomputed += uniqueTraceBytes(Trace.size());
   for (const Impl::Frame &F : P->Stack)
     Recomputed += Impl::openFrameBytes(F.Blocks.size());
-  P->trackState(static_cast<int64_t>(Recomputed));
+  P->StateBytes = Recomputed;
+  P->publish();
   return true;
 }
 

@@ -57,6 +57,13 @@ struct StreamingConfig {
 /// redundancy-eliminated representation.
 class StreamingCompactor final : public TraceSink {
 public:
+  /// Events between telemetry publishes. The per-event path keeps its
+  /// metrics and the stream.state mirror in plain per-compactor fields and
+  /// folds them into the process-global registry every PublishInterval
+  /// events, and at checkpoint, take, restore, degradation and
+  /// destruction.
+  static constexpr uint64_t PublishInterval = 4096;
+
   explicit StreamingCompactor(uint32_t FunctionCount);
   StreamingCompactor(uint32_t FunctionCount, const StreamingConfig &Config);
   ~StreamingCompactor() override;
@@ -86,9 +93,9 @@ public:
   /// Bytes of degradable state — the figure MemoryBudgetBytes is enforced
   /// against (the obs::deepSize model of the unique-trace pool plus
   /// open-frame detail). A plain count kept per event, mirrored into the
-  /// global stream.state tag while memory tracking is on, and recomputed
-  /// from scratch by restoreState, so incremental vs from-scratch
-  /// agreement is testable.
+  /// global stream.state tag at every publish while memory tracking is on,
+  /// and recomputed from scratch by restoreState, so incremental vs
+  /// from-scratch agreement is testable.
   uint64_t trackedStateBytes() const;
 
   /// The last journal IO failure (IoStatus::Ok when none). Journal

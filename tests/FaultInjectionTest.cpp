@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/FaultInjection.h"
+#include "support/Random.h"
 #include "support/FileIO.h"
 #include "verify/Checks.h"
 #include "verify/Recover.h"
@@ -130,9 +131,9 @@ TEST(FaultSeam, WireOpMatchingIsExactAndClassIsolated) {
   fault::ScopedFaultSpec Spec("wire:corrupt:every=2");
   int CorruptFires = 0, TruncateFires = 0;
   for (int I = 0; I < 10; ++I) {
-    if (fault::shouldFaultWire("corrupt"))
+    if (fault::shouldFaultWire(0, "corrupt"))
       ++CorruptFires;
-    if (fault::shouldFaultWire("truncate"))
+    if (fault::shouldFaultWire(0, "truncate"))
       ++TruncateFires;
   }
   EXPECT_EQ(CorruptFires, 5); // every 2nd of 10 matching hits
@@ -145,10 +146,38 @@ TEST(FaultSeam, WireOpMatchingIsExactAndClassIsolated) {
 
 TEST(FaultSeam, WireStarMatchesEveryOp) {
   fault::ScopedFaultSpec Spec("wire:*:n=3");
-  EXPECT_FALSE(fault::shouldFaultWire("corrupt"));
-  EXPECT_FALSE(fault::shouldFaultWire("duplicate"));
-  EXPECT_TRUE(fault::shouldFaultWire("stall")); // 3rd hit, any op
-  EXPECT_FALSE(fault::shouldFaultWire("stall")); // n= is one-shot
+  EXPECT_FALSE(fault::shouldFaultWire(0, "corrupt"));
+  EXPECT_FALSE(fault::shouldFaultWire(0, "duplicate"));
+  EXPECT_TRUE(fault::shouldFaultWire(0, "stall")); // 3rd hit, any op
+  EXPECT_FALSE(fault::shouldFaultWire(0, "stall")); // n= is one-shot
+}
+
+TEST(FaultSeam, WireHitsAreCountedPerStream) {
+  // Each producer stream has its own hit count, so one producer's frames
+  // cannot shift another's every=/n= schedule.
+  fault::ScopedFaultSpec Spec("wire:corrupt:every=3");
+  EXPECT_FALSE(fault::shouldFaultWire(0, "corrupt"));
+  EXPECT_FALSE(fault::shouldFaultWire(1, "corrupt"));
+  EXPECT_FALSE(fault::shouldFaultWire(1, "corrupt"));
+  EXPECT_TRUE(fault::shouldFaultWire(1, "corrupt")); // stream 1's 3rd hit
+  EXPECT_FALSE(fault::shouldFaultWire(0, "corrupt"));
+  EXPECT_TRUE(fault::shouldFaultWire(0, "corrupt")); // stream 0's 3rd hit
+}
+
+TEST(FaultSeam, WireStreamZeroKeepsTheRuleSeed) {
+  // Stream 0 draws from the rule's own seed, so a lone producer sees the
+  // sequence it saw before streams were told apart; stream 1 draws from
+  // a different one.
+  fault::ScopedFaultSpec Spec("wire:stall:p=0.5:seed=42");
+  Rng Reference(42);
+  std::vector<bool> Zero, One, Expected;
+  for (int I = 0; I < 64; ++I) {
+    Zero.push_back(fault::shouldFaultWire(0, "stall"));
+    One.push_back(fault::shouldFaultWire(1, "stall"));
+    Expected.push_back(Reference.nextBool(0.5));
+  }
+  EXPECT_EQ(Zero, Expected);
+  EXPECT_NE(One, Expected);
 }
 
 TEST(FaultSeam, NthFaultFiresOnceAndNamesInjection) {

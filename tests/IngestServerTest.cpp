@@ -220,6 +220,70 @@ TEST(IngestServerTest, DuplicateAndReorderCountersFire) {
   }
 }
 
+/// The fields of a report that depend only on what each producer put on
+/// the wire, not on thread timing (waits, queue peaks, elapsed time and
+/// read retries do).
+void expectSameOutcome(const IngestReport &A, const IngestReport &B,
+                       const std::string &Spec) {
+  EXPECT_EQ(A.Frames, B.Frames) << Spec;
+  EXPECT_EQ(A.FrameBytes, B.FrameBytes) << Spec;
+  EXPECT_EQ(A.CorruptFrames, B.CorruptFrames) << Spec;
+  EXPECT_EQ(A.ResyncBytes, B.ResyncBytes) << Spec;
+  EXPECT_EQ(A.IdleTimeouts, B.IdleTimeouts) << Spec;
+  EXPECT_EQ(A.EventsApplied, B.EventsApplied) << Spec;
+  EXPECT_EQ(A.Aborted, B.Aborted) << Spec;
+  EXPECT_EQ(A.FatalError, B.FatalError) << Spec;
+  ASSERT_EQ(A.Producers.size(), B.Producers.size()) << Spec;
+  for (size_t I = 0; I < A.Producers.size(); ++I) {
+    const ProducerReport &P = A.Producers[I], &Q = B.Producers[I];
+    SCOPED_TRACE(Spec + " producer " + std::to_string(P.ProducerId));
+    EXPECT_EQ(P.ProducerId, Q.ProducerId);
+    EXPECT_EQ(P.FunctionCount, Q.FunctionCount);
+    EXPECT_EQ(P.SawHello, Q.SawHello);
+    EXPECT_EQ(P.SawBye, Q.SawBye);
+    EXPECT_EQ(P.FramesApplied, Q.FramesApplied);
+    EXPECT_EQ(P.EventsApplied, Q.EventsApplied);
+    EXPECT_EQ(P.EventsDropped, Q.EventsDropped);
+    EXPECT_EQ(P.EventsDeclared, Q.EventsDeclared);
+    EXPECT_EQ(P.FramesInvalid, Q.FramesInvalid);
+    EXPECT_EQ(P.FramesDuplicate, Q.FramesDuplicate);
+    EXPECT_EQ(P.FramesReordered, Q.FramesReordered);
+    EXPECT_EQ(P.SeqGaps, Q.SeqGaps);
+    EXPECT_EQ(P.ShedFrames, Q.ShedFrames);
+    EXPECT_EQ(P.SynthesizedExits, Q.SynthesizedExits);
+    EXPECT_EQ(P.DegradedFrames, Q.DegradedFrames);
+    EXPECT_EQ(P.Disconnected, Q.Disconnected);
+    EXPECT_EQ(P.ArchiveError.ok(), Q.ArchiveError.ok());
+    EXPECT_EQ(P.ArchivePath.empty(), Q.ArchivePath.empty());
+    if (!P.ArchivePath.empty() && !Q.ArchivePath.empty()) {
+      EXPECT_EQ(readAll(P.ArchivePath), readAll(Q.ArchivePath));
+    }
+  }
+}
+
+TEST(IngestServerTest, WireFaultSpecsReproducePerProducer) {
+  // Wire rules keep a hit count and PRNG per producer stream, so a spec
+  // damages the same frames of each producer however the four producer
+  // threads interleave: two runs end in the same report and archives.
+  std::vector<RawTrace> Traces = sampleTraces(4);
+  ProducerOptions Fast;
+  Fast.BatchEvents = 128;
+  for (const char *Spec : {"wire:corrupt:every=7", "wire:*:p=0.02:seed=42"}) {
+    IngestReport Runs[2];
+    for (int Run = 0; Run < 2; ++Run) {
+      // Installing the spec re-arms every rule, as a fresh process would.
+      fault::ScopedFaultSpec Armed(Spec);
+      IngestConfig Config;
+      Config.OutPrefix =
+          uniqueTempPath("wire_repro_" + std::to_string(Run));
+      Runs[Run] = runLoopbackIngest(Config, Traces, Fast);
+    }
+    EXPECT_GT(Runs[0].CorruptFrames, 0u) << Spec;
+    expectSameOutcome(Runs[0], Runs[1], Spec);
+  }
+  EXPECT_EQ(fault::activeFaultSpec(), "");
+}
+
 #if !defined(_WIN32)
 
 /// Sends raw bytes over a socketpair to one IngestServer connection and

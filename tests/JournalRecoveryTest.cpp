@@ -34,6 +34,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -550,30 +551,98 @@ TEST(JournalRecovery, CheckpointCadenceIsExact) {
   }
 }
 
+/// Turns memory tracking on for a scope, restoring the process-global
+/// flag afterwards.
+struct ScopedMemTracking {
+  bool Was = obs::memTrackingEnabled();
+  ScopedMemTracking() { obs::setMemTrackingEnabled(true); }
+  ~ScopedMemTracking() { obs::setMemTrackingEnabled(Was); }
+};
+
 TEST(JournalRecovery, TrackedStateBytesMirrorsGlobalTag) {
-  // With tracking enabled, the compactor mirrors its instance ledger into
-  // the global stream.state tag, so stream.degraded accounting and the
-  // mem.live_bytes/stream.state counter track describe the same bytes
-  // trackedStateBytes() reports. The flag is process-global: save and
-  // restore it around the test.
-  bool WasEnabled = obs::memTrackingEnabled();
-  obs::setMemTrackingEnabled(true);
+  // With tracking enabled, the compactor publishes its instance ledger
+  // into the global stream.state tag every PublishInterval events and at
+  // checkpoint, restore and destruction, so the mem.live_bytes/stream.state
+  // track describes the bytes trackedStateBytes() reports. Between publish
+  // points the tag lags by at most the bytes the unpublished events moved.
+  ScopedMemTracking Tracking;
   obs::MemAccount &Tag =
       obs::memTracker().account(obs::memtags::StreamState);
-  int64_t Before = Tag.liveBytes();
+  const int64_t Before = Tag.liveBytes();
+  const uint64_t Interval = StreamingCompactor::PublishInterval;
+  RawTrace Trace = fixtures::nestedCallTrace(1200);
+  ASSERT_GT(Trace.Events.size(), 2 * Interval);
+  std::string JournalPath = uniqueTempPath("mirror.twppj");
+  StreamingConfig Config;
+  Config.JournalPath = JournalPath;
   {
-    RawTrace Trace = fixtures::randomTrace(77, 4, 150);
-    StreamingCompactor Sink(Trace.FunctionCount);
-    replayEvents(Trace.Events, Sink);
-    EXPECT_EQ(Tag.liveBytes() - Before,
-              static_cast<int64_t>(Sink.trackedStateBytes()));
-    while (!Sink.balanced())
-      Sink.onExit();
+    StreamingCompactor Sink(Trace.FunctionCount, Config);
+    auto Lag = [&] {
+      return Tag.liveBytes() - Before -
+             static_cast<int64_t>(Sink.trackedStateBytes());
+    };
+    uint64_t Moved = 0; // |state change| since the last publish point
+    uint64_t Publishes = 0;
+    for (size_t I = 0; I < Trace.Events.size(); ++I) {
+      uint64_t Prior = Sink.trackedStateBytes();
+      replayEvents({&Trace.Events[I], 1}, Sink);
+      uint64_t Now = Sink.trackedStateBytes();
+      Moved += Now > Prior ? Now - Prior : Prior - Now;
+      if (Sink.eventsConsumed() % Interval == 0) {
+        ASSERT_EQ(Lag(), 0) << "at publish point, event " << I;
+        Moved = 0;
+        ++Publishes;
+      } else {
+        ASSERT_LE(static_cast<uint64_t>(std::abs(Lag())), Moved)
+            << "after event " << I;
+      }
+      if (I == Interval + Interval / 2) {
+        ASSERT_TRUE(Sink.checkpointNow().ok());
+        EXPECT_EQ(Lag(), 0) << "after checkpointNow";
+        Moved = 0;
+      }
+    }
+    EXPECT_GE(Publishes, 2u);
+
+    // restoreState publishes the recomputed count: the tag holds both
+    // compactors' bytes exactly once the original has published too.
+    ASSERT_TRUE(Sink.checkpointNow().ok());
+    {
+      StreamingCompactor Restored(Trace.FunctionCount);
+      ASSERT_TRUE(Restored.restoreState(Sink.snapshotState()));
+      EXPECT_EQ(Tag.liveBytes() - Before,
+                static_cast<int64_t>(Sink.trackedStateBytes() +
+                                     Restored.trackedStateBytes()));
+    }
+    EXPECT_EQ(Lag(), 0) << "after the restored twin's destruction";
     (void)Sink.takeCompacted();
+    EXPECT_EQ(Tag.liveBytes(), Before) << "after takeCompacted";
   }
   // Destruction releases every mirrored byte.
   EXPECT_EQ(Tag.liveBytes(), Before);
-  obs::setMemTrackingEnabled(WasEnabled);
+  std::remove(JournalPath.c_str());
+}
+
+TEST(JournalRecovery, MirrorReleasedWhenTrackingSwitchedOffMidStream) {
+  // Published bytes are released at destruction whether or not tracking
+  // is still on, so switching it off mid-stream leaks nothing. The events
+  // after the switch stop short of the next publish point, so the release
+  // is the destructor's.
+  ScopedMemTracking Tracking;
+  obs::MemAccount &Tag =
+      obs::memTracker().account(obs::memtags::StreamState);
+  const int64_t Before = Tag.liveBytes();
+  RawTrace Trace = fixtures::nestedCallTrace(600);
+  const size_t Interval = StreamingCompactor::PublishInterval;
+  ASSERT_GT(Trace.Events.size(), Interval + 200);
+  {
+    StreamingCompactor Sink(Trace.FunctionCount);
+    replayEvents({Trace.Events.data(), Interval + 17}, Sink);
+    EXPECT_GT(Tag.liveBytes(), Before);
+    obs::setMemTrackingEnabled(false);
+    replayEvents({Trace.Events.data() + Interval + 17, 100}, Sink);
+  }
+  EXPECT_EQ(Tag.liveBytes(), Before);
 }
 
 TEST(JournalRecovery, UnwritableJournalDegradesNotAborts) {

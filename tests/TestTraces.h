@@ -90,6 +90,29 @@ inline RawTrace randomTrace(uint64_t Seed, uint32_t FunctionCount = 5,
   return Trace;
 }
 
+/// A deterministic trace of \p Calls nested call pairs (about nine events
+/// each), long enough to cross several of the streaming compactor's
+/// telemetry publish points. \p Shift varies the function and block ids.
+inline RawTrace nestedCallTrace(uint64_t Calls, uint64_t Shift = 0) {
+  RawTrace Trace;
+  Trace.FunctionCount = 4;
+  auto &E = Trace.Events;
+  for (uint64_t I = 0; I < Calls; ++I) {
+    uint64_t C = I + Shift;
+    E.push_back(TraceEvent::enter(static_cast<FunctionId>(C % 4)));
+    for (uint64_t B = 0; B < 1 + C % 5; ++B)
+      E.push_back(
+          TraceEvent::block(static_cast<BlockId>(1 + (C * 7 + B) % 13)));
+    E.push_back(TraceEvent::enter(static_cast<FunctionId>((C + 1) % 4)));
+    for (uint64_t B = 0; B < C % 3; ++B)
+      E.push_back(TraceEvent::block(static_cast<BlockId>(1 + (C + B) % 11)));
+    E.push_back(TraceEvent::exit());
+    E.push_back(TraceEvent::block(static_cast<BlockId>(1 + C % 2)));
+    E.push_back(TraceEvent::exit());
+  }
+  return Trace;
+}
+
 } // namespace twpp::fixtures
 
 #endif // TWPP_TESTS_TESTTRACES_H
