@@ -4,15 +4,18 @@
 //
 // Microbenchmarks of the primitives the experiments stand on: the series
 // codec, timestamp-set operations (the per-step cost of demand-driven
-// query propagation), LZW, Sequitur inference, and the full pipeline.
+// query propagation), LZW, the trace interner, Sequitur inference, and the
+// full pipeline.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sequitur/Sequitur.h"
 #include "support/ByteStream.h"
+#include "support/Intern.h"
 #include "support/LZW.h"
 #include "support/Random.h"
 #include "support/Varint.h"
+#include "wpp/PathTrace.h"
 #include "wpp/TimestampSet.h"
 #include "wpp/Twpp.h"
 
@@ -136,6 +139,39 @@ void BM_LzwRoundTrip(benchmark::State &State) {
   State.SetBytesProcessed(State.iterations() * State.range(0));
 }
 BENCHMARK(BM_LzwRoundTrip)->Arg(1 << 14);
+
+void BM_LzwCompress(benchmark::State &State) {
+  Rng R(7);
+  std::vector<uint8_t> Input;
+  for (int64_t I = 0; I < State.range(0); ++I)
+    Input.push_back(static_cast<uint8_t>(R.nextBelow(16)));
+  for (auto _ : State)
+    benchmark::DoNotOptimize(lzwCompress(Input));
+  State.SetBytesProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_LzwCompress)->Arg(1 << 14)->Arg(1 << 20);
+
+void BM_Intern(benchmark::State &State) {
+  // Redundant trace elimination's shape: many calls, few unique traces.
+  // State.range(0) traces drawn from 1024 distinct ones of 1-16 blocks.
+  Rng R(13);
+  std::vector<PathTrace> Distinct(1024);
+  for (PathTrace &Trace : Distinct)
+    for (uint64_t B = 0, E = 1 + R.nextBelow(16); B < E; ++B)
+      Trace.push_back(static_cast<BlockId>(1 + R.nextBelow(64)));
+  std::vector<PathTrace> Input;
+  for (int64_t I = 0; I < State.range(0); ++I)
+    Input.push_back(Distinct[R.nextBelow(Distinct.size())]);
+  for (auto _ : State) {
+    Interner Table;
+    std::vector<PathTrace> Pool;
+    for (const PathTrace &Trace : Input)
+      Table.intern(Pool, Trace, hashBlockSequence);
+    benchmark::DoNotOptimize(Pool.data());
+  }
+  State.SetItemsProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_Intern)->Arg(1 << 14);
 
 void BM_SequiturAppend(benchmark::State &State) {
   Rng R(11);

@@ -10,14 +10,17 @@
 #include "obs/Names.h"
 #include "obs/PhaseSpan.h"
 #include "support/ByteStream.h"
+#include "support/Intern.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 using namespace twpp;
 
 namespace {
 
 /// Encoder dictionary key: (prefix code, next byte) packed into 64 bits.
+/// The packing is injective, so the key is its own hash and equal hashes
+/// mean equal strings.
 uint64_t packKey(uint32_t PrefixCode, uint8_t Byte) {
   return (static_cast<uint64_t>(PrefixCode) << 8) | Byte;
 }
@@ -39,22 +42,23 @@ std::vector<uint8_t> twpp::lzwCompress(const std::vector<uint8_t> &Input) {
   if (Input.empty())
     return Writer.take();
 
-  // Codes 0-255 are the single-byte strings; new codes start at 256.
-  std::unordered_map<uint64_t, uint32_t> Dict;
-  Dict.reserve(1u << 16);
-  uint32_t NextCode = 256;
-
+  // Codes 0-255 are the single-byte strings; code 256 + I is the
+  // dictionary's first-seen index I. At LZWMaxDictSize codes the
+  // dictionary freezes and is only looked up.
+  Interner Dict;
+  auto SameKey = [](uint32_t) { return true; };
   uint32_t Current = Input[0];
   for (size_t I = 1, E = Input.size(); I != E; ++I) {
     uint8_t Byte = Input[I];
-    auto It = Dict.find(packKey(Current, Byte));
-    if (It != Dict.end()) {
-      Current = It->second;
+    uint64_t Key = packKey(Current, Byte);
+    uint32_t Known = Dict.size();
+    uint32_t Index = 256 + Known < LZWMaxDictSize ? Dict.intern(Key, SameKey)
+                                                  : Dict.find(Key, SameKey);
+    if (Index < Known) {
+      Current = 256 + Index;
       continue;
     }
     Writer.writeVarUint(Current);
-    if (NextCode < LZWMaxDictSize)
-      Dict.emplace(packKey(Current, Byte), NextCode++);
     Current = Byte;
   }
   Writer.writeVarUint(Current);
@@ -68,7 +72,7 @@ std::vector<uint8_t> twpp::lzwCompress(const std::vector<uint8_t> &Input) {
     Calls.add();
     BytesIn.add(Input.size());
     BytesOut.add(Out.size());
-    DictEntries.add(NextCode - 256);
+    DictEntries.add(Dict.size());
   }
   return Out;
 }
@@ -98,8 +102,9 @@ bool twpp::lzwDecompress(ByteSpan Input, std::vector<uint8_t> &Output) {
   }
 
   ByteReader Reader(Input);
+  // Every code is at least one byte and defines at most one entry.
   std::vector<DecodeEntry> Dict;
-  Dict.reserve(1u << 16);
+  Dict.reserve(std::min<size_t>(Input.size(), LZWMaxDictSize - 256));
 
   // Expands code \p Code to the end of Output. Returns false on a bad code.
   auto Expand = [&Dict, &Output](uint32_t Code) -> bool {
@@ -146,34 +151,22 @@ bool twpp::lzwDecompress(ByteSpan Input, std::vector<uint8_t> &Output) {
 
   while (!Reader.atEnd()) {
     uint64_t Raw = Reader.readVarUint();
-    if (Reader.hasError()) {
+    uint32_t NextCode = 256 + static_cast<uint32_t>(Dict.size());
+    bool Open = NextCode < LZWMaxDictSize;
+    // KwKwK: the code being defined right now. Its expansion is the
+    // previous string plus that string's first byte.
+    bool KwKwK = Open && Raw == NextCode;
+    if (Reader.hasError() || (Raw >= NextCode && !KwKwK)) {
       Output.clear();
       return false;
     }
     uint32_t Code = static_cast<uint32_t>(Raw);
-    uint32_t NextCode = 256 + static_cast<uint32_t>(Dict.size());
-
-    if (Code == NextCode && NextCode < LZWMaxDictSize) {
-      // KwKwK: the code being defined right now. Its expansion is the
-      // previous string plus that string's first byte.
-      Dict.push_back({Previous, FirstByteOf(Previous), FirstByteOf(Previous),
-                      LengthOf(Previous) + 1});
-      if (!Expand(Code)) {
-        Output.clear();
-        return false;
-      }
-    } else {
-      if (Code >= 256 && Code - 256 >= Dict.size()) {
-        Output.clear();
-        return false;
-      }
-      if (NextCode < LZWMaxDictSize)
-        Dict.push_back({Previous, FirstByteOf(Code), FirstByteOf(Previous),
-                        LengthOf(Previous) + 1});
-      if (!Expand(Code)) {
-        Output.clear();
-        return false;
-      }
+    if (Open)
+      Dict.push_back({Previous, FirstByteOf(KwKwK ? Previous : Code),
+                      FirstByteOf(Previous), LengthOf(Previous) + 1});
+    if (!Expand(Code)) {
+      Output.clear();
+      return false;
     }
     Previous = Code;
   }

@@ -6,8 +6,9 @@
 
 #include "wpp/Merge.h"
 
+#include "support/Intern.h"
+
 #include <cassert>
-#include <unordered_map>
 
 using namespace twpp;
 
@@ -20,22 +21,6 @@ PartitionedWpp twpp::mergePartitionedWpps(
   Out.Functions.resize(FunctionCount);
 
   // Cross-run trace interners, one per function.
-  struct Interner {
-    std::unordered_multimap<uint64_t, uint32_t> Buckets;
-
-    uint32_t intern(FunctionTraceTable &Table, const PathTrace &Trace) {
-      uint64_t Hash = hashBlockSequence(Trace);
-      auto Range = Buckets.equal_range(Hash);
-      for (auto It = Range.first; It != Range.second; ++It)
-        if (Table.UniqueTraces[It->second] == Trace)
-          return It->second;
-      uint32_t Index = static_cast<uint32_t>(Table.UniqueTraces.size());
-      Table.UniqueTraces.push_back(Trace);
-      Table.UseCounts.push_back(0);
-      Buckets.emplace(Hash, Index);
-      return Index;
-    }
-  };
   std::vector<Interner> Interners(FunctionCount);
 
   for (const PartitionedWpp *Run : Runs) {
@@ -48,7 +33,10 @@ PartitionedWpp twpp::mergePartitionedWpps(
       FunctionTraceTable &Table = Out.Functions[F];
       Remap[F].resize(In.UniqueTraces.size());
       for (size_t T = 0; T < In.UniqueTraces.size(); ++T) {
-        uint32_t Merged = Interners[F].intern(Table, In.UniqueTraces[T]);
+        uint32_t Merged = Interners[F].intern(
+            Table.UniqueTraces, In.UniqueTraces[T], hashBlockSequence);
+        if (Merged == Table.UseCounts.size()) // first seen: just appended
+          Table.UseCounts.push_back(0);
         Remap[F][T] = Merged;
         Table.UseCounts[Merged] += In.UseCounts[T];
       }

@@ -14,6 +14,7 @@
 #include "obs/Trace.h"
 #include "support/ByteStream.h"
 #include "support/FaultInjection.h"
+#include "support/Intern.h"
 #include "wpp/Journal.h"
 #include "wpp/Sizes.h"
 #include "wpp/VerifyHooks.h"
@@ -21,42 +22,10 @@
 #include <algorithm>
 #include <cassert>
 #include <new>
-#include <unordered_map>
 
 using namespace twpp;
 
 namespace {
-
-/// Dedupe helper shared conceptually with Partition.cpp: maps a path
-/// trace to its index in a function's unique trace table, bucketed by
-/// hash and verified by comparison.
-class TraceInterner {
-public:
-  uint32_t intern(FunctionTraceTable &Table, PathTrace &&Trace) {
-    uint64_t Hash = hashBlockSequence(Trace);
-    auto Range = Buckets.equal_range(Hash);
-    for (auto It = Range.first; It != Range.second; ++It)
-      if (Table.UniqueTraces[It->second] == Trace)
-        return It->second;
-    uint32_t Index = static_cast<uint32_t>(Table.UniqueTraces.size());
-    Table.UniqueTraces.push_back(std::move(Trace));
-    Table.UseCounts.push_back(0);
-    Buckets.emplace(Hash, Index);
-    return Index;
-  }
-
-  /// Reseeds the hash buckets from an already-populated table (the
-  /// resume path). Index assignment matches what repeated intern() calls
-  /// would have produced, so a restored compactor interns identically.
-  void rebuild(const FunctionTraceTable &Table) {
-    Buckets.clear();
-    for (uint32_t I = 0; I < Table.UniqueTraces.size(); ++I)
-      Buckets.emplace(hashBlockSequence(Table.UniqueTraces[I]), I);
-  }
-
-private:
-  std::unordered_multimap<uint64_t, uint32_t> Buckets;
-};
 
 /// Accounting model for the degradable state: the obs::deepSize figures of
 /// what the compactor actually holds (interned trace buffers and open
@@ -73,7 +42,8 @@ uint64_t uniqueTraceBytes(size_t Blocks) {
 struct StreamingCompactor::Impl {
   StreamingConfig Config;
   PartitionedWpp Wpp;
-  std::vector<TraceInterner> Interners;
+  /// Per function: path trace -> index in its UniqueTraces.
+  std::vector<Interner> Interners;
 
   struct Frame {
     uint32_t NodeIndex;
@@ -172,7 +142,7 @@ struct StreamingCompactor::Impl {
   void resetStream(size_t FunctionCount) {
     Wpp = PartitionedWpp{};
     Wpp.Functions.resize(FunctionCount);
-    Interners.assign(FunctionCount, TraceInterner());
+    Interners.assign(FunctionCount, Interner());
     Stack.clear();
     EventCount = 0;
     StateBytes = 0;
@@ -330,11 +300,13 @@ void StreamingCompactor::onExit() {
   ++Table.CallCount;
   Table.TotalBlockEvents += Top.Blocks.size();
   size_t TraceLen = Top.Blocks.size();
-  size_t UniqueBefore = Table.UniqueTraces.size();
-  Node.TraceIndex =
-      P->Interners[Node.Function].intern(Table, std::move(Top.Blocks));
+  Node.TraceIndex = P->Interners[Node.Function].intern(
+      Table.UniqueTraces, std::move(Top.Blocks), hashBlockSequence);
+  // A first-seen trace was just appended and has no use count yet.
+  bool NewTrace = Node.TraceIndex == Table.UseCounts.size();
+  if (NewTrace)
+    Table.UseCounts.push_back(0);
   ++Table.UseCounts[Node.TraceIndex];
-  bool NewTrace = Table.UniqueTraces.size() > UniqueBefore;
   P->trackState(-static_cast<int64_t>(Impl::openFrameBytes(TraceLen)));
   if (NewTrace)
     P->trackState(static_cast<int64_t>(uniqueTraceBytes(TraceLen)));
@@ -461,8 +433,13 @@ bool StreamingCompactor::restoreState(const std::vector<uint8_t> &Payload) {
   P->Stack = std::move(Stack);
   P->EventCount = EventCount;
   P->Degraded = Degraded;
+  // Reseed the interners in index order so a restored compactor numbers
+  // new traces exactly as the uninterrupted one would.
+  P->Interners.assign(P->Wpp.Functions.size(), Interner());
   for (size_t F = 0; F < P->Wpp.Functions.size(); ++F)
-    P->Interners[F].rebuild(P->Wpp.Functions[F]);
+    for (const PathTrace &Trace : P->Wpp.Functions[F].UniqueTraces)
+      P->Interners[F].intern(hashBlockSequence(Trace),
+                             [](uint32_t) { return false; });
   uint64_t Recomputed = 0;
   for (const FunctionTraceTable &Table : P->Wpp.Functions)
     for (const PathTrace &Trace : Table.UniqueTraces)

@@ -11,6 +11,7 @@
 #include "obs/Names.h"
 #include "obs/PhaseSpan.h"
 #include "obs/Trace.h"
+#include "support/Intern.h"
 #include "wpp/DeepSize.h"
 #include "wpp/Sizes.h"
 #include "wpp/VerifyHooks.h"
@@ -18,7 +19,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <unordered_map>
 
 using namespace twpp;
 
@@ -66,32 +66,6 @@ bool twpp::blockSequenceFromTwpp(const TwppTrace &Trace,
   return true;
 }
 
-namespace {
-
-/// Interns values into a pool, deduplicating by hash + equality.
-template <typename T, typename HashFn> class PoolInterner {
-public:
-  explicit PoolInterner(HashFn Hash) : Hash(Hash) {}
-
-  uint32_t intern(std::vector<T> &Pool, T &&Value) {
-    uint64_t H = Hash(Value);
-    auto Range = Buckets.equal_range(H);
-    for (auto It = Range.first; It != Range.second; ++It)
-      if (Pool[It->second] == Value)
-        return It->second;
-    uint32_t Index = static_cast<uint32_t>(Pool.size());
-    Pool.push_back(std::move(Value));
-    Buckets.emplace(H, Index);
-    return Index;
-  }
-
-private:
-  HashFn Hash;
-  std::unordered_multimap<uint64_t, uint32_t> Buckets;
-};
-
-} // namespace
-
 DbbWpp twpp::applyDbbCompaction(const PartitionedWpp &Wpp,
                                 const ParallelConfig &Config) {
   obs::PhaseSpan Span("dbb");
@@ -111,18 +85,14 @@ DbbWpp twpp::applyDbbCompaction(const PartitionedWpp &Wpp,
     Table.CallCount = In.CallCount;
     Table.UseCounts = In.UseCounts;
 
-    PoolInterner<std::vector<BlockId>, uint64_t (*)(const std::vector<BlockId> &)>
-        StringInterner(hashBlockSequence);
-    PoolInterner<DbbDictionary, uint64_t (*)(const DbbDictionary &)>
-        DictInterner(hashDictionary);
-
+    Interner Strings, Dictionaries;
     Table.Traces.reserve(In.UniqueTraces.size());
     for (const PathTrace &Trace : In.UniqueTraces) {
       CompactedTrace Compacted = compactWithDbbs(Trace);
-      uint32_t StringIdx = StringInterner.intern(
-          Table.TraceStrings, std::move(Compacted.Blocks));
-      uint32_t DictIdx = DictInterner.intern(Table.Dictionaries,
-                                             std::move(Compacted.Dictionary));
+      uint32_t StringIdx = Strings.intern(
+          Table.TraceStrings, std::move(Compacted.Blocks), hashBlockSequence);
+      uint32_t DictIdx = Dictionaries.intern(
+          Table.Dictionaries, std::move(Compacted.Dictionary), hashDictionary);
       Table.Traces.emplace_back(StringIdx, DictIdx);
     }
     // Per-tag memory accounting: the finished table's heap footprint

@@ -132,6 +132,8 @@ TEST(LzwTest, RejectsMalformedStreams) {
   std::vector<uint8_t> Out;
   // First code must be a literal byte (< 256); 0x80 0x02 encodes 256.
   EXPECT_FALSE(lzwDecompress({0x80, 0x02}, Out));
+  // 'A', then 2^32 + 'B': a code past the dictionary, not 'B' truncated.
+  EXPECT_FALSE(lzwDecompress({0x41, 0xC2, 0x80, 0x80, 0x80, 0x10}, Out));
 }
 
 /// Property sweep: random byte strings round trip.
